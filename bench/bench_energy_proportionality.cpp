@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "gesture_network.h"
 #include "common/table.h"
 #include "data/synthetic.h"
 #include "ecnn/batch_runner.h"
@@ -26,55 +27,6 @@
 #include "energy/energy_model.h"
 
 namespace {
-
-/// Fig. 6 topology (scaled) with random weights and *activity-calibrated*
-/// thresholds: each layer's integer threshold is tuned (binary search, at
-/// the band midpoint) so its output activity tracks its input activity.
-/// Trained SNNs behave this way — inter-layer spike rates stay in a narrow
-/// band (the paper measures 1.2-4.9% "across the entire network") — whereas
-/// uncalibrated random thresholds make activity amplification super-linear
-/// and would distort the proportionality shape this bench reproduces.
-sne::ecnn::QuantizedNetwork make_network() {
-  using namespace sne;
-  ecnn::Network net = ecnn::Network::paper_topology(2, 32, 32, 11, 8, 64);
-  Rng rng(1234);
-  for (auto& layer : net.layers) {
-    if (layer.weights.empty()) continue;
-    for (auto& w : layer.weights)
-      w = static_cast<float>(rng.uniform(-0.4, 1.0));
-    layer.threshold = 2.5f;
-    layer.leak = 0.1f;
-  }
-  ecnn::QuantizedNetwork q = ecnn::quantize(net);
-
-  const auto mid = data::random_stream({2, 32, 32, 50}, 0.03, 777);
-  const event::EventStream* input = &mid;
-  std::vector<event::EventStream> kept;
-  kept.reserve(q.layers.size());
-  for (auto& layer : q.layers) {
-    if (layer.type != ecnn::LayerSpec::Type::kConv &&
-        layer.type != ecnn::LayerSpec::Type::kFc) {
-      kept.push_back(ecnn::GoldenExecutor::run_layer(layer, *input).output);
-      input = &kept.back();
-      continue;
-    }
-    const double target = input->activity();
-    std::int32_t lo = 1, hi = 120;
-    while (lo < hi) {  // higher threshold -> lower output activity
-      const std::int32_t midth = (lo + hi) / 2;
-      layer.lif.v_th = midth;
-      const auto trace = ecnn::GoldenExecutor::run_layer(layer, *input);
-      if (trace.output.activity() > target)
-        lo = midth + 1;
-      else
-        hi = midth;
-    }
-    layer.lif.v_th = lo;
-    kept.push_back(ecnn::GoldenExecutor::run_layer(layer, *input).output);
-    input = &kept.back();
-  }
-  return q;
-}
 
 /// Total spatio-temporal volume (neuron-steps) of all layer *inputs*.
 std::size_t s_volume_of_network(const sne::ecnn::QuantizedNetwork& net,
@@ -93,7 +45,7 @@ int main() {
       "Fig. 6 topology (32x32-scaled); paper anchors: 1.2% -> 7.1 ms / 80 uJ "
       "/ 141 inf/s, 4.9% -> 23.12 ms / 261 uJ / 43 inf/s");
 
-  const ecnn::QuantizedNetwork net = make_network();
+  const ecnn::QuantizedNetwork net = bench::calibrated_gesture_network();
   core::SneConfig hw = core::SneConfig::paper_design_point(8);
   energy::EnergyModel model(hw);
   const double power_mw = model.dense_power_mw();

@@ -12,6 +12,8 @@
 #include <string>
 #include <thread>
 
+#include "gesture_network.h"
+
 #include "common/fault_injection.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
@@ -342,6 +344,33 @@ void BM_BatchedDataset(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchedDataset)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// The paper's workload end to end: the activity-calibrated Fig. 6 gesture
+// network (bench::calibrated_gesture_network, as bench_energy_proportionality
+// builds it) at the 4.9% worst-case input activity, one serial NetworkRunner
+// on the 8-slice design point. Every layer's per-event UPDATE path, FIRE
+// scans and drains run; host_ns_per_event divides the wall clock by the
+// input events of all layers (the per-event floor the fast path attacks).
+void BM_GestureNetwork(benchmark::State& state) {
+  const ecnn::QuantizedNetwork net = bench::calibrated_gesture_network();
+  const auto in = data::random_stream({2, 32, 32, 50}, 0.049, 20240);
+  core::SneEngine engine(core::SneConfig::paper_design_point(8));
+  ecnn::NetworkRunner runner(engine, /*use_wload_stream=*/false);
+  std::uint64_t cycles = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    const auto stats = runner.run(net, in);
+    cycles += stats.cycles;
+    events += stats.total_input_events();
+    benchmark::DoNotOptimize(stats.cycles);
+  }
+  state.counters["sim_cycles_per_s"] = benchmark::Counter(
+      static_cast<double>(cycles), benchmark::Counter::kIsRate);
+  state.counters["host_ns_per_event"] = benchmark::Counter(
+      static_cast<double>(events) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_GestureNetwork)->Unit(benchmark::kMillisecond);
 
 // One BPTT training epoch of the flat-tensor trainer on the Fig. 6-style
 // topology (paper_topology(2, 32, 32, 4, 6, 32), 24 gesture samples, T = 16).

@@ -5,7 +5,9 @@ Usage:
     check_perf.py BASELINE.json CURRENT.json [--threshold 2.0] [--strict]
                   [--regression-threshold 1.5]
 
-Matches benchmarks by name and compares wall-clock (real_time — several
+Prints the host context of both runs first and warns (never fails) when
+they differ in num_cpus or sne_build_type. Matches benchmarks by name and
+compares wall-clock (real_time — several
 benches use UseRealTime because worker threads shift work off the timing
 thread; for the rest real and cpu time agree on the 1-core CI box). Prints a
 markdown before/after table — plus a dedicated section for the drain-path
@@ -45,6 +47,12 @@ def load(path):
 
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Host context printed above the table; MATCH_KEYS must agree for the
+# ratios to compare code rather than hosts (a mismatch only warns).
+CONTEXT_KEYS = ("host_name", "num_cpus", "mhz_per_cpu", "sne_build_type",
+                "date")
+MATCH_KEYS = ("num_cpus", "sne_build_type")
 
 
 def bench_times(doc):
@@ -97,6 +105,24 @@ def main():
     base = bench_times(baseline)
     cur = bench_times(current)
 
+    # Host context of both runs, and a warn-only like-for-like check: a
+    # baseline from another core count or build type makes every ratio below
+    # a comparison of hosts, not of code.
+    lines = ["| context | baseline | current |", "|---|---|---|"]
+    base_ctx = baseline.get("context", {})
+    cur_ctx = current.get("context", {})
+    for key in CONTEXT_KEYS:
+        lines.append(f"| `{key}` | {base_ctx.get(key, '-')} | "
+                     f"{cur_ctx.get(key, '-')} |")
+    lines.append("")
+    for key in MATCH_KEYS:
+        if base_ctx.get(key) != cur_ctx.get(key):
+            lines.append(f"WARNING: context mismatch on `{key}` (baseline "
+                         f"{base_ctx.get(key, '-')}, current "
+                         f"{cur_ctx.get(key, '-')}): ratios compare hosts as "
+                         "well as code :warning:")
+            lines.append("")
+
     rows = []
     warned = 0
     for name in sorted(set(base) | set(cur)):
@@ -119,8 +145,8 @@ def main():
             return "-"
         return f"{t[0] / _UNIT_NS.get(t[1], 1.0):.3f} {t[1]}"
 
-    lines = ["| benchmark | baseline | current | ratio | status |",
-             "|---|---:|---:|---:|---|"]
+    lines += ["| benchmark | baseline | current | ratio | status |",
+              "|---|---:|---:|---:|---|"]
     for name, b, c, ratio, status in rows:
         r = "-" if ratio is None else f"{ratio:.2f}x"
         mark = {"OK": "", "WARN": " :warning:", "NEW": "", "GONE": ""}[status]

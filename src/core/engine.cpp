@@ -33,18 +33,34 @@ SneEngine::SneEngine(SneConfig cfg, std::size_t memory_words,
 }
 
 void SneEngine::rebuild_route_index() {
-  mem_slices_.clear();
   pipe_routes_.clear();
   mem_slice_mask_ = 0;
   for (std::size_t i = 0; i < routes_.slice_dest.size(); ++i) {
     const int dest = routes_.slice_dest[i].dest;
     if (dest == SliceRoute::kToMemory) {
-      mem_slices_.push_back(static_cast<std::uint32_t>(i));
       mem_slice_mask_ |= 1ull << i;
     } else {
       pipe_routes_.emplace_back(static_cast<std::uint32_t>(i),
                                 static_cast<std::uint32_t>(dest));
     }
+  }
+}
+
+void SneEngine::collect_live_slices() {
+  std::uint64_t live = 0;
+  for (const auto d : routes_.input_dest) live |= 1ull << d;
+  for (const auto& [src, dest] : pipe_routes_)
+    live |= (1ull << src) | (1ull << dest);
+  // The per-cycle reference keeps walking every slice, so the equivalence
+  // tiers check the live set rather than share it.
+  for (std::size_t i = 0; i < slices_.size(); ++i)
+    if (!cfg_.fast_forward || !slices_[i].quiescent()) live |= 1ull << i;
+  live_.clear();
+  live_mem_.clear();
+  for (; live != 0; live &= live - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(live));
+    live_.push_back(i);
+    if (mem_slice_mask_ >> i & 1) live_mem_.push_back(i);
   }
 }
 
@@ -122,6 +138,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
   } prof_scope{prof_};
   const bool fast = cfg_.fast_forward;
   const bool drain_fast = fast && cfg_.drain_batching;
+  collect_live_slices();
   ScanState s = scan_state();
   while (!s.quiescent()) {
     if (c.cycles >= opts.max_cycles) {
@@ -153,7 +170,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
           // A busy jump spans a TDM sweep countdown; an idle one a dead span.
           if (s.any_slice_busy) {
             prof_->sweep_jump_cycles += jump;
-            for (std::size_t i = 0; i < slices_.size(); ++i)
+            for (const auto i : live_)
               if (slices_[i].busy()) prof_->slice_busy[i] += jump;
           } else {
             prof_->dead_jump_cycles += jump;
@@ -161,7 +178,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
         }
         if (!s.any_slice_busy) c.idle_cycles += jump;
         in_dma_.skip_cycles(jump);
-        for (auto& sl : slices_) sl.skip_cycles(jump);
+        for (const auto i : live_) slices_[i].skip_cycles(jump);
         if (c.cycles >= opts.max_cycles) continue;  // livelock guard throws
       }
     }
@@ -170,7 +187,7 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
     s = scan_state();
     if (prof_) {
       prof_->percycle_cycles++;
-      for (std::size_t i = 0; i < slices_.size(); ++i)
+      for (const auto i : live_)
         if (slices_[i].busy()) prof_->slice_busy[i]++;
     }
     if (!s.any_slice_busy) c.idle_cycles++;
@@ -221,14 +238,15 @@ void SneEngine::tick(hwsim::ActivityCounters& c) {
   for (auto& dma : out_dmas_) dma.tick(c);
   collector_tick(c);
   xbar_slice_moves(c);
-  for (auto& s : slices_) s.tick(c);
+  for (const auto i : live_) slices_[i].tick(c);
   xbar_input_move(c);
   in_dma_.tick(c);
 }
 
 SneEngine::ScanState SneEngine::scan_state() const {
   ScanState s;
-  for (const auto& sl : slices_) {
+  for (const auto i : live_) {
+    const Slice& sl = slices_[i];
     if (sl.busy()) s.any_slice_busy = true;
     if (!sl.out_fifo().empty()) s.any_slice_out = true;
     if (sl.draining()) s.any_drain = true;
@@ -262,7 +280,7 @@ std::uint64_t SneEngine::next_activity_delta() const {
       break;
     }
   if (dma_space) {
-    for (const auto i : mem_slices_)
+    for (const auto i : live_mem_)
       if (!slices_[i].out_fifo().empty()) return 1;
   }
 
@@ -274,8 +292,8 @@ std::uint64_t SneEngine::next_activity_delta() const {
         !slices_[dest].in_fifo().full())
       return 1;
 
-  for (const auto& sl : slices_) {
-    consider(sl.next_activity_delta());
+  for (const auto i : live_) {
+    consider(slices_[i].next_activity_delta());
     if (d == 1) return 1;
   }
 
@@ -344,7 +362,7 @@ std::uint64_t SneEngine::drain_burst(hwsim::ActivityCounters& c,
     bool ok = true;
     bool any_work = false;
     std::uint64_t full_tick = 0;  // decode-boundary slices, ticked in full
-    for (std::size_t i = 0; i < slices_.size(); ++i) {
+    for (const auto i : live_) {
       const Slice& sl = slices_[i];
       if (!sl.drain_cycle_ok(incoming >> i & 1)) {
         // Pipeline-routed drains hit decode boundaries (a hop landing in an
@@ -388,9 +406,9 @@ std::uint64_t SneEngine::drain_burst(hwsim::ActivityCounters& c,
     collector_tick(c);
     xbar_slice_moves(c);
     if (full_tick == 0) {
-      for (auto& sl : slices_) sl.drain_tick(c);
+      for (const auto i : live_) slices_[i].drain_tick(c);
     } else {
-      for (std::size_t i = 0; i < slices_.size(); ++i) {
+      for (const auto i : live_) {
         if (full_tick >> i & 1)
           slices_[i].tick(c);
         else
@@ -404,14 +422,14 @@ std::uint64_t SneEngine::drain_burst(hwsim::ActivityCounters& c,
     bool any_busy = false;
     if (prof_) {
       prof_->burst_cycles++;
-      for (std::size_t i = 0; i < slices_.size(); ++i)
+      for (const auto i : live_)
         if (slices_[i].busy()) {
           any_busy = true;
           prof_->slice_busy[i]++;
         }
     } else {
-      for (const auto& sl : slices_)
-        if (sl.busy()) {
+      for (const auto i : live_)
+        if (slices_[i].busy()) {
           any_busy = true;
           break;
         }
@@ -453,7 +471,7 @@ std::uint64_t SneEngine::drain_bulk_span(hwsim::ActivityCounters& c,
   std::uint64_t request = 0;               // slices with a nonempty out FIFO
   bool inert_busy = false;                 // a busy non-participant slice
   std::uint64_t inert_busy_mask = 0;       // same slices, for the profiler
-  for (std::uint32_t i = 0; i < slices_.size(); ++i) {
+  for (const auto i : live_) {
     const Slice& sl = slices_[i];
     if (!sl.configured()) continue;
     const bool events = sl.cluster_pending() > 0 || !sl.out_fifo().empty();
@@ -809,7 +827,7 @@ std::uint64_t SneEngine::drain_bulk_span(hwsim::ActivityCounters& c,
                                  rep.out_peak, rep.out_seq.data() + p.granted,
                                  rep.out_count);
   }
-  for (std::size_t i = 0; i < slices_.size(); ++i)
+  for (const auto i : live_)
     if (!part_of[i]) slices_[i].skip_cycles(span);
   in_dma_.skip_cycles(span);
   collector_arb_.set_cursor(cursor);
@@ -839,7 +857,7 @@ void SneEngine::collector_tick(hwsim::ActivityCounters& c) {
   // and output FIFO nonempty) over the precomputed slice list; grants are
   // identical, at two bit scans per DMA instead of a route-table walk.
   std::uint64_t request = 0;
-  for (const auto i : mem_slices_)
+  for (const auto i : live_mem_)
     if (!slices_[i].out_fifo().empty()) request |= 1ull << i;
   for (auto& dma : out_dmas_) {
     if (dma.fifo().full()) continue;

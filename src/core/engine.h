@@ -219,10 +219,14 @@ class SneEngine {
   void xbar_slice_moves(hwsim::ActivityCounters& c);
   void collector_tick(hwsim::ActivityCounters& c);
 
-  /// Rebuilds the memory-routed slice list and the pipeline hop list from
+  /// Rebuilds the memory-routed slice mask and the pipeline hop list from
   /// routes_ (shared by the collector, the activity scan and the drain
   /// engine instead of three per-cycle route-table re-scans).
   void rebuild_route_index();
+
+  /// Computes the run's live slices (live_, live_mem_) from the routes and
+  /// the slices' state at the start of the run.
+  void collect_live_slices();
 
   // --- batched drain engine -------------------------------------------------
   /// Replays a drain-dominated span: a specialized kernel executes the
@@ -263,10 +267,18 @@ class SneEngine {
   std::size_t out_region_words_ = 0;
 
   // Route index (rebuilt by rebuild_route_index).
-  std::vector<std::uint32_t> mem_slices_;  ///< slices routed kToMemory
-  std::uint64_t mem_slice_mask_ = 0;       ///< same, as a bitmask
+  std::uint64_t mem_slice_mask_ = 0;  ///< slices routed kToMemory
   /// (src, dest) slice-to-slice hops, ascending src (pipeline mode).
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pipe_routes_;
+
+  /// The slices that can act during the current run, ascending: input
+  /// destinations, endpoints of slice-to-slice routes, and any slice not
+  /// quiescent at the start (every slice on the per-cycle reference path).
+  /// Nothing can push into any other slice, so the per-cycle loops, scans,
+  /// jumps and the collector skip them; ascending order keeps tick()'s
+  /// slice order. Valid only inside run().
+  std::vector<std::uint32_t> live_;
+  std::vector<std::uint32_t> live_mem_;  ///< live_ slices routed kToMemory
 
   /// Reusable scratch of drain_bulk_span (no per-span allocation).
   struct DrainParticipant {

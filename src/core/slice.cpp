@@ -47,16 +47,23 @@ void Slice::configure(const SliceConfig& cfg) {
     }
     fc_streamed_beats_ = (outputs * 4 + 31) / 32;
   }
-  // Per-input-row UPDATE sweep lengths (conv): the sequencer's row-union
+  // Per-input-row UPDATE sweep lengths: the sequencer's conv row-union
   // computation depends only on ey for a fixed pass, so the fast-forward
-  // decode path reads one LUT entry instead of recomputing the mask.
+  // decode path reads one LUT entry instead of recomputing the mask. FC
+  // events sweep every TDM slot, stretched to the streamed weight beats.
   update_len_lut_.clear();
-  if (cfg.kind == LayerKind::kConv && hw_->fast_forward) {
+  if (hw_->fast_forward) {
     update_len_lut_.resize(cfg.in_height);
     for (std::uint32_t ey = 0; ey < cfg.in_height; ++ey)
-      update_len_lut_[ey] = static_cast<std::uint32_t>(
-          sequencer_.update_schedule_length(cfg, 0, static_cast<int>(ey)));
+      update_len_lut_[ey] =
+          cfg.kind == LayerKind::kFc
+              ? std::max<std::uint32_t>(
+                    hw_->neurons_per_cluster,
+                    static_cast<std::uint32_t>(fc_streamed_beats_))
+              : static_cast<std::uint32_t>(sequencer_.update_schedule_length(
+                    cfg, 0, static_cast<int>(ey)));
   }
+  build_event_filter();
   // Per-slot mapped-cluster masks (pass constant; drives the FIRE paths),
   // plus the per-cluster transpose for the armed-slot iteration.
   mapped_mask_.assign(hw_->neurons_per_cluster, 0);
@@ -71,11 +78,54 @@ void Slice::configure(const SliceConfig& cfg) {
   mapped_total_ = 0;
   for (std::uint64_t m : mapped_mask_)
     mapped_total_ += static_cast<std::uint64_t>(std::popcount(m));
-  enabled_clusters_ = 0;
-  for (const auto& m : cfg.clusters)
-    if (m.enabled) ++enabled_clusters_;
   configured_ = true;
   reset_pass_dynamic_state();
+}
+
+void Slice::build_event_filter() {
+  enabled_mask_ = 0;
+  for (std::size_t i = 0; i < clusters_.size(); ++i)
+    if (clusters_[i].map.enabled) enabled_mask_ |= 1ull << i;
+  col_filter_.clear();
+  row_filter_.clear();
+  chan_filter_.clear();
+  if (cfg_.kind != LayerKind::kConv) return;
+  // One entry per decodable input coordinate: the bounds check in
+  // compute_event_filter plus the event field widths keep every lookup in
+  // range. An entry holds the enabled clusters whose tile overlaps the
+  // coordinate's receptive interval (none when the interval is empty).
+  const auto axis = [&](std::uint32_t extent, std::uint32_t max_addr,
+                        int kernel, int out_extent, std::uint32_t tile,
+                        std::uint8_t ClusterMapping::*base,
+                        std::vector<AxisFilter>& table) {
+    table.resize(std::min(extent, max_addr + 1));
+    for (std::size_t e = 0; e < table.size(); ++e) {
+      AxisFilter& f = table[e];
+      f.iv = receptive_interval(static_cast<int>(e), kernel, cfg_.stride,
+                                cfg_.pad, out_extent);
+      if (f.iv.empty()) continue;
+      for (std::uint64_t m = enabled_mask_; m != 0; m &= m - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(m));
+        const int lo = clusters_[i].map.*base;
+        if (f.iv.hi >= lo && f.iv.lo < lo + static_cast<int>(tile))
+          f.mask |= 1ull << i;
+      }
+    }
+  };
+  axis(cfg_.in_width, event::kMaxX, cfg_.kernel_w, cfg_.out_width,
+       hw_->cluster_tile_width, &ClusterMapping::x_base, col_filter_);
+  axis(cfg_.in_height, event::kMaxY, cfg_.kernel_h, cfg_.out_height,
+       hw_->cluster_tile_height(), &ClusterMapping::y_base, row_filter_);
+  if (cfg_.depthwise) {
+    chan_filter_.assign(std::min<std::uint32_t>(cfg_.in_channels,
+                                                event::kMaxCh + 1),
+                        0);
+    for (std::uint64_t m = enabled_mask_; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::size_t>(std::countr_zero(m));
+      const std::uint16_t ch = clusters_[i].map.out_channel;
+      if (ch < chan_filter_.size()) chan_filter_[ch] |= 1ull << i;
+    }
+  }
 }
 
 void Slice::reset_pass_dynamic_state() {
@@ -113,7 +163,6 @@ void Slice::reset_machine_state() {
   for (auto& cl : clusters_) {
     for (auto& n : cl.neurons) n.reset();
     cl.out_fifo.reset();
-    cl.enabled_for_event = false;
     // A configured slice re-arms like configure() would (the wiped membranes
     // are a subset of "unknown"); a deconfigured one stays disarmed.
     cl.armed = configured_ ? std::array<std::uint64_t, 4>{~0ull, ~0ull, ~0ull,
@@ -141,8 +190,8 @@ void Slice::reset_machine_state() {
   post_state_ = State::kIdle;
   ev_ox_ = Interval{};
   ev_oy_ = Interval{};
-  ev_accepted_ = 0;
-  ev_accepted_idx_ = {};
+  ev_mask_ = 0;
+  ev_fc_local_ = 0;
 }
 
 void Slice::scrub_programming() {
@@ -160,7 +209,10 @@ void Slice::scrub_programming() {
   mapped_mask_.clear();
   cluster_mapped_.clear();
   mapped_total_ = 0;
-  enabled_clusters_ = 0;
+  enabled_mask_ = 0;
+  col_filter_.clear();
+  row_filter_.clear();
+  chan_filter_.clear();
 }
 
 void Slice::tick(hwsim::ActivityCounters& c) {
@@ -226,34 +278,31 @@ void Slice::decode(const event::Event& e, hwsim::ActivityCounters& c) {
     case event::Op::kUpdate: {
       if (!compute_event_filter(e))
         return;  // address filter drops the event at the decoder
-      if (hw_->fast_forward && cfg_.kind != LayerKind::kFc) {
-        // Conv fast path: the batch executor enumerates integrations from
-        // the receptive rectangle and only needs the sweep's cycle length,
-        // so the slot buffer is never filled. (e.y bounds-checked by the
-        // filter above.)
+      if (hw_->fast_forward) {
+        // The batch executor enumerates integrations directly (conv: the
+        // receptive rectangle; FC: each accepted cluster's mapped slots) and
+        // only needs the sweep's cycle length, so the slot buffer is never
+        // filled. (e.y bounds-checked by the filter above.)
         sweep_slots_ = update_len_lut_[e.y];
         if (sweep_slots_ == 0) return;
       } else {
         sequencer_.update_schedule_into(cfg_, e.x, e.y, schedule_);
         if (schedule_.empty()) return;
-        if (cfg_.kind == LayerKind::kFc && cfg_.fc_weights_streamed) {
-          // Streamed FC: the event's weight column (4 bits per mapped
-          // output) rides the second DMA at one 32-bit beat per cycle. The
-          // event occupies the slice for max(TDM sweep, streaming) cycles.
-          // The beat count is a pass constant precomputed in configure().
-          c.weight_load_beats += fc_streamed_beats_;
-          c.dma_read_beats += fc_streamed_beats_;
-          while (schedule_.size() < fc_streamed_beats_)
-            schedule_.push_back(kIdleSlot);
-        }
+        while (schedule_.size() < fc_streamed_beats_)
+          schedule_.push_back(kIdleSlot);
         sweep_slots_ = schedule_.size();
       }
+      // Streamed FC: the event's weight column (4 bits per mapped output)
+      // rides the second DMA at one 32-bit beat per cycle, so the event
+      // occupies the slice for max(TDM sweep, streaming) cycles. The beat
+      // count is a pass constant precomputed in configure() (0 otherwise).
+      c.weight_load_beats += fc_streamed_beats_;
+      c.dma_read_beats += fc_streamed_beats_;
       c.events_consumed++;
       state_ = State::kUpdate;
       break;
     }
     case event::Op::kFire: {
-      for (auto& cl : clusters_) cl.enabled_for_event = cl.map.enabled;
       sequencer_.full_schedule_into(schedule_);
       sweep_slots_ = schedule_.size();
       fired_any_ = false;
@@ -262,8 +311,8 @@ void Slice::decode(const event::Event& e, hwsim::ActivityCounters& c) {
       break;
     }
     case event::Op::kReset: {
-      // "In the case of a RST_OP, all the Clusters are activated" (III-D.4).
-      for (auto& cl : clusters_) cl.enabled_for_event = true;
+      // "In the case of a RST_OP, all the Clusters are activated" (III-D.4):
+      // the sweep below visits every cluster.
       sequencer_.full_schedule_into(schedule_);
       sweep_slots_ = schedule_.size();
       state_ = State::kReset;
@@ -286,23 +335,18 @@ void Slice::tick_update(hwsim::ActivityCounters& c) {
   // paper's double-buffered latch memories achieve one update per cycle.
   if (!hw_->double_buffered_state && !write_phase_) {
     write_phase_ = true;
-    for (const auto& cl : clusters_) {
-      if (!cl.map.enabled) continue;
-      if (cl.enabled_for_event)
-        c.active_cluster_cycles++;
-      else if (hw_->clock_gating)
-        c.gated_cluster_cycles++;
-      else
-        c.active_cluster_cycles++;
-    }
+    charge_filter_cycles(c, 1);
     return;
   }
   write_phase_ = false;
 
   const std::uint16_t slot = schedule_[sweep_pos_];
+  std::uint64_t filter = ev_mask_;  // bit 0: the cluster visited next
   for (auto& cl : clusters_) {
+    const bool accepted = filter & 1;
+    filter >>= 1;
     if (!cl.map.enabled) continue;
-    if (!cl.enabled_for_event) {
+    if (!accepted) {
       // Clusters outside the event's address filter: clock-gated when the
       // feature is on, otherwise they burn datapath power doing nothing.
       if (hw_->clock_gating)
@@ -653,48 +697,28 @@ void Slice::drain_replay_commit(DrainReplay& r) {
 }
 
 bool Slice::compute_event_filter(const event::Event& e) {
-  // Event-wide work is done once; the per-cluster loop only performs the
-  // tile-intersection test against the precomputed receptive intervals.
-  ev_accepted_ = 0;
+  // A few table loads and an AND: the per-cluster tile tests were folded
+  // into the pass-constant masks at configure time.
+  ev_mask_ = 0;
   if (e.ch >= cfg_.in_channels || e.x >= cfg_.in_width ||
-      e.y >= cfg_.in_height) {
-    for (auto& cl : clusters_) cl.enabled_for_event = false;
+      e.y >= cfg_.in_height)
     return false;
-  }
   if (cfg_.kind == LayerKind::kFc) {
-    const std::uint32_t flat = cfg_.fc_flat_index(e.ch, e.x, e.y);
-    const bool in_pass = flat >= cfg_.fc_pass_base &&
-                         flat < cfg_.fc_pass_base + cfg_.fc_pass_positions;
-    for (std::size_t i = 0; i < clusters_.size(); ++i) {
-      Cluster& cl = clusters_[i];
-      cl.enabled_for_event = cl.map.enabled && in_pass;
-      if (cl.enabled_for_event)
-        ev_accepted_idx_[ev_accepted_++] = static_cast<std::uint8_t>(i);
-    }
-    return ev_accepted_ > 0;
+    // Positions below the pass base wrap to huge unsigned offsets.
+    const std::uint32_t local =
+        cfg_.fc_flat_index(e.ch, e.x, e.y) - cfg_.fc_pass_base;
+    if (local >= cfg_.fc_pass_positions) return false;
+    ev_fc_local_ = local;
+    ev_mask_ = enabled_mask_;
+    return ev_mask_ != 0;
   }
-  const Interval ox = receptive_interval(e.x, cfg_.kernel_w, cfg_.stride,
-                                         cfg_.pad, cfg_.out_width);
-  const Interval oy = receptive_interval(e.y, cfg_.kernel_h, cfg_.stride,
-                                         cfg_.pad, cfg_.out_height);
-  ev_ox_ = ox;
-  ev_oy_ = oy;
-  if (ox.empty() || oy.empty()) {
-    for (auto& cl : clusters_) cl.enabled_for_event = false;
-    return false;
-  }
-  const int tile_w = static_cast<int>(hw_->cluster_tile_width);
-  const int tile_h = static_cast<int>(hw_->cluster_tile_height());
-  for (std::size_t i = 0; i < clusters_.size(); ++i) {
-    Cluster& cl = clusters_[i];
-    const bool accepted =
-        cl.map.enabled && (!cfg_.depthwise || cl.map.out_channel == e.ch) &&
-        ox.hi >= cl.map.x_base && ox.lo < cl.map.x_base + tile_w &&
-        oy.hi >= cl.map.y_base && oy.lo < cl.map.y_base + tile_h;
-    cl.enabled_for_event = accepted;
-    if (accepted) ev_accepted_idx_[ev_accepted_++] = static_cast<std::uint8_t>(i);
-  }
-  return ev_accepted_ > 0;
+  const AxisFilter& col = col_filter_[e.x];
+  const AxisFilter& row = row_filter_[e.y];
+  ev_ox_ = col.iv;
+  ev_oy_ = row.iv;
+  ev_mask_ = col.mask & row.mask;
+  if (cfg_.depthwise) ev_mask_ &= chan_filter_[e.ch];
+  return ev_mask_ != 0;
 }
 
 void Slice::batch_execute(hwsim::ActivityCounters& c) {
@@ -722,13 +746,7 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
   const std::uint64_t per_slot = hw_->double_buffered_state ? 1 : 2;
   const std::uint64_t cycles = slots * per_slot;
 
-  const std::uint64_t enabled = ev_accepted_;
-  const std::uint64_t filtered = enabled_clusters_ - ev_accepted_;
-  c.active_cluster_cycles += enabled * cycles;
-  if (hw_->clock_gating)
-    c.gated_cluster_cycles += filtered * cycles;
-  else
-    c.active_cluster_cycles += filtered * cycles;
+  charge_filter_cycles(c, cycles);
 
   // Integrations. The per-cycle handler visits (slot, cluster) pairs in
   // schedule order and integrates exactly the pairs whose neuron lies in the
@@ -737,26 +755,63 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
   // state- and counter-identical. For conv, that set is the intersection of
   // the cluster tile with the precomputed receptive rectangle — enumerate it
   // directly instead of scanning the padded sweep.
+  //
+  // Pass constants are read into locals once: the loops below store
+  // through neuron pointers, which would otherwise force reloads. The armed
+  // bit is set with a select, not a branch: whether an integrate crosses
+  // the threshold is data-dependent.
   std::uint64_t updates = 0;
+  const neuron::LifParams lif = cfg_.lif;
+  const std::uint32_t t = current_.t;
+  const auto integrate = [&](Cluster& cl, std::size_t slot, std::int32_t w) {
+    neuron::LifNeuron& n = cl.neurons[slot];
+    n.integrate(t, w, lif);
+    cl.armed[slot >> 6] |= static_cast<std::uint64_t>(n.membrane() > lif.v_th)
+                           << (slot & 63);
+    ++updates;
+  };
   if (cfg_.kind == LayerKind::kFc) {
-    for (std::uint64_t i = 0; i < slots; ++i) {
-      const std::uint16_t slot = schedule_[i];
-      if (slot == kIdleSlot) continue;
-      for (auto& cl : clusters_) {
-        if (!cl.enabled_for_event) continue;  // implies map.enabled
-        const auto w = weight_for(cl, slot);
-        if (!w.has_value()) continue;
-        cl.neurons[slot].integrate(current_.t, *w, cfg_.lif);
-        if (cl.neurons[slot].membrane() > cfg_.lif.v_th)
-          cl.armed[slot >> 6] |= 1ull << (slot & 63);
-        ++updates;
-      }
+    // FC: every mapped slot of every accepted cluster integrates. The
+    // weights are one column of the streamed store (indexed by output id,
+    // which cluster_mapped_ keeps below fc_total_outputs) or the cluster's
+    // own bank for the event's position (indexed by slot, checked up to the
+    // cluster's last mapped slot).
+    const std::uint32_t cps = hw_->clusters_per_slice;
+    const std::int8_t* column =
+        cfg_.fc_weights_streamed
+            ? weights_.set_span(ev_fc_local_, fc_total_outputs())
+            : nullptr;
+    for (std::uint64_t m = ev_mask_; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+      Cluster& cl = clusters_[i];
+      const auto& mapped = cluster_mapped_[i];
+      std::uint32_t end = 0;  // one past the last mapped slot
+      for (std::uint32_t w = 0; w < 4; ++w)
+        if (mapped[w] != 0)
+          end = (w << 6) + 64 -
+                static_cast<std::uint32_t>(std::countl_zero(mapped[w]));
+      if (end == 0) continue;
+      const std::int8_t* bank =
+          column != nullptr ? column + cl.map.out_channel
+                            : weights_.set_span(ev_fc_local_ * cps + i, end);
+      for (std::size_t w = 0; w < 4; ++w)
+        for (std::uint64_t b = mapped[w]; b != 0; b &= b - 1) {
+          const std::size_t slot =
+              (w << 6) + static_cast<std::size_t>(std::countr_zero(b));
+          integrate(cl, slot, bank[slot]);
+        }
     }
   } else {
     const int tile_w = static_cast<int>(hw_->cluster_tile_width);
     const int tile_h = static_cast<int>(hw_->cluster_tile_height());
-    for (std::uint32_t k = 0; k < ev_accepted_; ++k) {
-      Cluster& cl = clusters_[ev_accepted_idx_[k]];
+    const int kernel_w = cfg_.kernel_w;
+    const int stride = cfg_.stride;
+    const int ex = current_.x + cfg_.pad;
+    const int ey = current_.y + cfg_.pad;
+    const std::uint32_t taps =
+        static_cast<std::uint32_t>(cfg_.kernel_w) * cfg_.kernel_h;
+    for (std::uint64_t m = ev_mask_; m != 0; m &= m - 1) {
+      Cluster& cl = clusters_[static_cast<std::size_t>(std::countr_zero(m))];
       const int x_lo = std::max(ev_ox_.lo, static_cast<int>(cl.map.x_base));
       const int x_hi =
           std::min(ev_ox_.hi, static_cast<int>(cl.map.x_base) + tile_w - 1);
@@ -764,26 +819,23 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
       const int y_hi =
           std::min(ev_oy_.hi, static_cast<int>(cl.map.y_base) + tile_h - 1);
       // Direct weight addressing (same formulas as weight_for, which is
-      // always engaged on rectangle cells): kernel taps are in range by the
-      // receptive-interval construction, and the weight set is a
-      // per-cluster constant for the event.
+      // always engaged on rectangle cells): the receptive-interval
+      // construction keeps every kernel tap in [0, kernel), so each index
+      // ky * kernel_w + kx lies below the `taps` the span check covers. The
+      // weight set is a per-cluster constant for the event.
       const std::uint32_t set =
           cfg_.depthwise
               ? 0u
               : static_cast<std::uint32_t>(current_.ch) * cfg_.oc_per_slice +
                     cl.map.oc_slot;
+      const std::int8_t* kernel = weights_.set_span(set, taps);
       for (int oy = y_lo; oy <= y_hi; ++oy) {
-        const int ky = current_.y + cfg_.pad - oy * cfg_.stride;
+        const int ky = ey - oy * stride;
         const int row = (oy - cl.map.y_base) * tile_w - cl.map.x_base;
         for (int ox = x_lo; ox <= x_hi; ++ox) {
-          const int kx = current_.x + cfg_.pad - ox * cfg_.stride;
-          const std::uint16_t slot = static_cast<std::uint16_t>(row + ox);
-          const std::int32_t w = weights_.read(
-              set, static_cast<std::uint32_t>(ky * cfg_.kernel_w + kx));
-          cl.neurons[slot].integrate(current_.t, w, cfg_.lif);
-          if (cl.neurons[slot].membrane() > cfg_.lif.v_th)
-            cl.armed[slot >> 6] |= 1ull << (slot & 63);
-          ++updates;
+          const int kx = ex - ox * stride;
+          integrate(cl, static_cast<std::size_t>(row + ox),
+                    kernel[ky * kernel_w + kx]);
         }
       }
     }
@@ -886,13 +938,11 @@ std::optional<std::int32_t> Slice::weight_for(const Cluster& cl,
   if (cfg_.kind == LayerKind::kFc) {
     const std::uint32_t id = cl.map.out_channel + slot;
     if (id >= fc_total_outputs()) return std::nullopt;
-    const std::uint32_t flat =
-        cfg_.fc_flat_index(current_.ch, current_.x, current_.y);
-    const std::uint32_t local = flat - cfg_.fc_pass_base;
-    if (cfg_.fc_weights_streamed) return weights_.read(local, id);
+    if (cfg_.fc_weights_streamed) return weights_.read(ev_fc_local_, id);
     const std::uint32_t cluster_index =
         static_cast<std::uint32_t>(&cl - clusters_.data());
-    const std::uint32_t set = local * hw_->clusters_per_slice + cluster_index;
+    const std::uint32_t set =
+        ev_fc_local_ * hw_->clusters_per_slice + cluster_index;
     return weights_.read(set, slot);
   }
   const int lx = static_cast<int>(slot % tile_w);

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -48,7 +49,6 @@ struct Cluster {
   std::vector<neuron::LifNeuron> neurons;
   hwsim::Fifo<event::Event> out_fifo;
   ClusterMapping map;
-  bool enabled_for_event = false;  ///< address-filter result for current event
   /// Fast-forward FIRE acceleration: slots whose neuron *may* be above
   /// threshold (a conservative superset). With v_th >= 0 leak only decays
   /// membranes, so a neuron can only cross the threshold at an integrate —
@@ -121,6 +121,12 @@ class Slice {
 
   bool busy() const { return state_ != State::kIdle || !in_fifo_.empty(); }
   bool idle() const { return !busy(); }
+  /// Nothing executing, queued or pending output: until an event lands in
+  /// its input FIFO the slice cannot act.
+  bool quiescent() const {
+    return idle() && countdown_ == 0 && cluster_pending_ == 0 &&
+           out_fifo_.empty();
+  }
 
   /// Advances one clock cycle.
   void tick(hwsim::ActivityCounters& c);
@@ -429,6 +435,10 @@ class Slice {
   /// the warm skip path cannot drift from the configure path.
   void reset_pass_dynamic_state();
 
+  /// Builds the pass-constant address-filter masks (enabled_mask_ and the
+  /// conv column / row / depthwise channel tables) from cfg_.
+  void build_event_filter();
+
   void decode(const event::Event& e, hwsim::ActivityCounters& c);
   void tick_update(hwsim::ActivityCounters& c);
   void tick_fire(hwsim::ActivityCounters& c);
@@ -459,11 +469,26 @@ class Slice {
   /// collector and the C-XBAR cycle by cycle and must not be compressed.
   bool batch_fire(hwsim::ActivityCounters& c);
 
-  /// Address filter for all clusters at decode time: sets
-  /// Cluster::enabled_for_event and returns whether any cluster accepted.
-  /// The event-wide work (bounds check, receptive intervals / FC flat index)
-  /// is hoisted out of the per-cluster loop.
+  /// Address filter for all clusters at decode time: sets ev_mask_ and
+  /// returns whether any cluster accepted. Conv events AND the pass-constant
+  /// column, row (and, depthwise, channel) masks; FC events accept every
+  /// enabled cluster when the event's flat position lies in the pass.
   bool compute_event_filter(const event::Event& e);
+
+  /// Charges `cycles` UPDATE cycles of cluster activity: accepted clusters
+  /// are active, the other enabled clusters are clock-gated (or burn
+  /// datapath power doing nothing when gating is off).
+  void charge_filter_cycles(hwsim::ActivityCounters& c,
+                            std::uint64_t cycles) const {
+    const auto accepted = static_cast<std::uint64_t>(std::popcount(ev_mask_));
+    const auto filtered =
+        static_cast<std::uint64_t>(std::popcount(enabled_mask_)) - accepted;
+    c.active_cluster_cycles += accepted * cycles;
+    if (hw_->clock_gating)
+      c.gated_cluster_cycles += filtered * cycles;
+    else
+      c.active_cluster_cycles += filtered * cycles;
+  }
 
   /// Does TDM `slot` address a real neuron of `cl` (i.e. would output_event
   /// be engaged)? Bounds-only fast form of output_event for the scan paths.
@@ -532,9 +557,26 @@ class Slice {
   std::uint32_t wload_set_ = 0;
   std::uint32_t wload_group_ = 0;
   std::uint64_t fc_streamed_beats_ = 0;  ///< per-event DMA beats (streamed FC)
-  /// Conv UPDATE sweep length per input row (pass constant per ey), built at
-  /// configure time so the fast-forward decode is O(1) per event.
+  /// UPDATE sweep length per input row (pass constant per ey), built at
+  /// configure time so the fast-forward decode is O(1) per event. FC rows
+  /// all sweep the same max(TDM slots, streamed weight beats).
   std::vector<std::uint32_t> update_len_lut_;
+  /// Conv address-filter table entry for one input column (or row): the
+  /// enabled clusters whose tile overlaps the receptive interval of that
+  /// input coordinate (bit i = cluster i), plus the interval itself.
+  struct AxisFilter {
+    std::uint64_t mask = 0;
+    Interval iv{};
+  };
+  /// Pass constants of the conv address filter, indexed by input x / y
+  /// (sized min(extent, address space) so every decodable coordinate that
+  /// passes the bounds check has an entry).
+  std::vector<AxisFilter> col_filter_;
+  std::vector<AxisFilter> row_filter_;
+  /// Depthwise only: per input channel, the enabled clusters computing that
+  /// channel (output channel oc listens to input channel oc only).
+  std::vector<std::uint64_t> chan_filter_;
+  std::uint64_t enabled_mask_ = 0;  ///< clusters with map.enabled (pass)
   /// Per-TDM-slot bitmask of clusters whose slot addresses a real neuron
   /// (bit i = cluster i); a pass constant built at configure time.
   std::vector<std::uint64_t> mapped_mask_;
@@ -556,14 +598,13 @@ class Slice {
   // transitions to post_state_ in the same cycle the reference path would.
   std::uint64_t countdown_ = 0;
   State post_state_ = State::kIdle;
-  // Receptive intervals of the current UPDATE event (conv mode), computed
-  // once at decode; batch_update enumerates each cluster's RF rectangle
-  // from these instead of scanning the padded TDM schedule.
+  // Receptive intervals of the current UPDATE event (conv mode), read from
+  // the filter tables at decode; batch_update enumerates each cluster's RF
+  // rectangle from these instead of scanning the padded TDM schedule.
   Interval ev_ox_{};
   Interval ev_oy_{};
-  std::uint32_t ev_accepted_ = 0;     ///< clusters passing the event filter
-  std::uint32_t enabled_clusters_ = 0;  ///< clusters with map.enabled (pass)
-  std::array<std::uint8_t, 64> ev_accepted_idx_{};  ///< their indices
+  std::uint64_t ev_mask_ = 0;      ///< clusters passing the event filter
+  std::uint32_t ev_fc_local_ = 0;  ///< FC: the event's position in the pass
 };
 
 }  // namespace sne::core

@@ -35,6 +35,14 @@ class WeightMemory {
     return store_[static_cast<std::size_t>(set) * weights_per_set_ + idx];
   }
 
+  /// Base of `set` for `len` reads: one check covers every index in
+  /// [0, len), so hot loops whose indices provably stay below `len` read the
+  /// returned span directly instead of paying read()'s check per weight.
+  const std::int8_t* set_span(std::uint32_t set, std::uint32_t len) const {
+    SNE_EXPECTS(set < sets_ && len <= weights_per_set_);
+    return store_.data() + static_cast<std::size_t>(set) * weights_per_set_;
+  }
+
   /// Direct host-side write (used by tests; hardware path is write_beat).
   void write(std::uint32_t set, std::uint32_t idx, std::int32_t code) {
     SNE_EXPECTS(set < sets_ && idx < weights_per_set_);

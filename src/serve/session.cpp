@@ -24,6 +24,10 @@ StreamingSession::StreamingSession(ecnn::EnginePool& pool,
   SNE_EXPECTS(model_ != nullptr);
   if (opts_.horizon_timesteps == 0)
     throw ConfigError("session horizon_timesteps must be >= 1");
+  if (opts_.horizon_timesteps > event::kMaxTime + 1)
+    throw ConfigError("session horizon_timesteps must be <= " +
+                      std::to_string(event::kMaxTime + 1) +
+                      ": the session clock is an 8-bit event timestamp");
   // Respawn determinism: whole-engine stall RNG draws depend on everything
   // the engine ran before, which a replacement engine cannot replay
   // mid-session. Content-keyed streams (rng_streams) reseed per program and

@@ -63,10 +63,11 @@ namespace sne::serve {
 struct SessionOptions {
   /// Tenant the session's chunks are accounted to (server-opened sessions).
   std::string tenant = kDefaultTenant;
-  /// Session clock capacity: the sum of chunk timesteps may not exceed this
-  /// (event timestamps are 16-bit). Also the horizon the pipeline plan is
-  /// built for.
-  std::uint16_t horizon_timesteps = 1024;
+  /// Session clock capacity: the sum of chunk timesteps may not exceed this.
+  /// Event timestamps are 8-bit (event::kMaxTime), so open rejects horizons
+  /// above kMaxTime + 1 with ConfigError. Also the horizon the pipeline plan
+  /// is built for.
+  std::uint16_t horizon_timesteps = event::kMaxTime + 1;
   /// Bounded chunk queue (feed blocks on backpressure).
   std::size_t chunk_queue = 8;
   /// Idle budget: a session with no feed()/heartbeat() for this long closes

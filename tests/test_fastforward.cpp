@@ -14,6 +14,8 @@
 #include "core/engine.h"
 #include "data/synthetic.h"
 #include "ecnn/batch_runner.h"
+#include "ecnn/golden.h"
+#include "ecnn/mapper.h"
 #include "ecnn/runner.h"
 #include "test_util.h"
 
@@ -101,10 +103,12 @@ NetworkRunStats run_network_cfg(const SneConfig& hw, const QuantizedNetwork& net
 }
 
 /// Three-way equivalence: per-cycle reference vs fast-forward vs
-/// fast-forward + batched drain engine, all bit-identical.
-void expect_drain_equivalent(SneConfig hw, const QuantizedNetwork& net,
-                             const event::EventStream& input,
-                             std::size_t memory_words = 1u << 20) {
+/// fast-forward + batched drain engine, all bit-identical. Returns the
+/// drain-batched run.
+NetworkRunStats expect_drain_equivalent(SneConfig hw,
+                                        const QuantizedNetwork& net,
+                                        const event::EventStream& input,
+                                        std::size_t memory_words = 1u << 20) {
   hw.fast_forward = false;
   hw.drain_batching = false;
   const auto ref = run_network_cfg(hw, net, input, memory_words);
@@ -114,6 +118,7 @@ void expect_drain_equivalent(SneConfig hw, const QuantizedNetwork& net,
   const auto drain = run_network_cfg(hw, net, input, memory_words);
   expect_equivalent(ref, fast);
   expect_equivalent(ref, drain);
+  return drain;
 }
 
 TEST(FastForwardEquivalence, ConvLayerTimeMultiplexed) {
@@ -480,6 +485,167 @@ TEST(DrainEquivalence, FullOutputRegion) {
     EXPECT_THROW(run_network_cfg(ov, net, in, 2048), ConfigError)
         << "mode " << mode;
   }
+}
+
+// --- per-event UPDATE fast path ----------------------------------------------
+// The cluster-mask address filter, the slot-scan-free FC integrate and the
+// live-slice engine loops, each compared three ways (per-cycle reference,
+// fast-forward, fast-forward + drain batching) and against the golden
+// executor.
+
+/// The functional check the three-way tiers cannot make (every engine mode
+/// shares the address filter): each layer's spikes equal the golden
+/// executor's.
+void expect_matches_golden(const NetworkRunStats& stats,
+                           const QuantizedNetwork& net,
+                           const event::EventStream& input) {
+  ASSERT_EQ(stats.layers.size(), net.layers.size());
+  std::vector<event::EventStream> gold;
+  gold.reserve(net.layers.size());
+  const event::EventStream* in = &input;
+  for (std::size_t i = 0; i < net.layers.size(); ++i) {
+    gold.push_back(ecnn::GoldenExecutor::run_layer(net.layers[i], *in).output);
+    EXPECT_EQ(testutil::canonical_spikes(stats.layers[i].output),
+              testutil::canonical_spikes(gold.back()))
+        << "layer " << i;
+    in = &gold.back();
+  }
+}
+
+QuantizedLayerSpec pool_layer(std::uint16_t channels, std::uint16_t size,
+                              std::uint8_t window) {
+  QuantizedLayerSpec l;
+  l.type = ecnn::LayerSpec::Type::kPool;
+  l.name = "pool";
+  l.in_ch = channels;
+  l.in_w = size;
+  l.in_h = size;
+  l.out_ch = channels;
+  l.kernel = window;
+  l.stride = window;
+  l.pad = 0;
+  l.lif.leak = 0;
+  l.lif.v_th = 0;  // OR-pooling, as ecnn::quantize programs it
+  return l;
+}
+
+TEST(UpdateFastPath, DepthwisePoolingSeveralChannelsPerSlice) {
+  // 8 channels of 16x16 pooled 2x2 -> one 8x8 tile per channel, so all 8
+  // channels share one slice: the depthwise channel mask must keep every
+  // cluster deaf to the other channels' events.
+  QuantizedNetwork net;
+  net.layers.push_back(pool_layer(8, 16, 2));
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  const auto plan = ecnn::Mapper(hw).plan(net.layers[0], 8);
+  ASSERT_EQ(plan.rounds[0].passes.size(), 1u);
+  ASSERT_EQ(plan.rounds[0].passes[0].cfg.oc_per_slice, 8);
+  const auto in = data::random_stream({8, 16, 16, 8}, 0.08, 131);
+  const auto stats = expect_drain_equivalent(hw, net, in);
+  expect_matches_golden(stats, net, in);
+  // One SOP per accepted event: only the event's own channel integrates.
+  EXPECT_EQ(stats.total.neuron_updates, stats.total.events_consumed);
+  EXPECT_GT(stats.total.gated_cluster_cycles, 0u);
+  EXPECT_GT(stats.total.output_events, 0u);
+}
+
+TEST(UpdateFastPath, StrideTwoEdgeEventsWithEmptyReceptiveInterval) {
+  // 3x3 stride-2 pad-0 on 16x16 -> 7x7 outputs: input column/row 15 feeds
+  // no output, so those events have an empty receptive interval. Empty
+  // columns are dropped by the filter; empty rows still burn the fixed
+  // sweep (or none, with the adaptive sequencer).
+  QuantizedLayerSpec l = conv_layer(2, 16, 4, 3, 137);
+  l.stride = 2;
+  l.pad = 0;
+  QuantizedNetwork net;
+  net.layers.push_back(l);
+  auto in = data::random_stream({2, 16, 16, 8}, 0.06, 139);
+  for (std::uint16_t t = 0; t < 8; ++t) {
+    in.push_update(t, static_cast<std::uint16_t>(t % 2), 15,
+                   static_cast<std::uint8_t>(t));
+    in.push_update(t, static_cast<std::uint16_t>(t % 2),
+                   static_cast<std::uint8_t>(2 * t), 15);
+    in.push_update(t, 0, 15, 15);
+  }
+  in.normalize();
+  std::uint64_t reachable = 0;  // events some output neuron listens to
+  for (const auto& e : in.events())
+    if (e.op == event::Op::kUpdate && e.x < 15 && e.y < 15) ++reachable;
+  for (bool adaptive : {false, true}) {
+    SneConfig hw = SneConfig::paper_design_point(2);
+    hw.adaptive_sequencer = adaptive;
+    ASSERT_EQ(ecnn::Mapper(hw).plan(l, 8).rounds[0].passes.size(), 1u);
+    const auto stats = expect_drain_equivalent(hw, net, in);
+    expect_matches_golden(stats, net, in);
+    // The filter drops every edge event at decode, whichever axis is empty.
+    EXPECT_EQ(stats.total.events_consumed, reachable);
+  }
+}
+
+TEST(UpdateFastPath, MultiClusterBufferResidentFc) {
+  // 16 input positions fit the filter buffer (16 x 16 clusters = 256 sets);
+  // 1096 outputs span two slices, the second with a partial last cluster.
+  QuantizedNetwork net;
+  net.layers.push_back(fc_layer(1, 4, 1096, 149));
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  const auto plan = ecnn::Mapper(hw).plan(net.layers[0], 10);
+  ASSERT_EQ(plan.rounds.size(), 1u);
+  ASSERT_EQ(plan.rounds[0].passes.size(), 2u);
+  ASSERT_FALSE(plan.rounds[0].passes[0].cfg.fc_weights_streamed);
+  const auto in = data::random_stream({1, 4, 4, 10}, 0.15, 151);
+  const auto stats = expect_drain_equivalent(hw, net, in);
+  expect_matches_golden(stats, net, in);
+  EXPECT_GT(stats.total.output_events, 0u);
+}
+
+TEST(UpdateFastPath, StreamedFcBeatsOutnumberTdmSlots) {
+  // 700 outputs on one slice stream ceil(700 * 4 / 32) = 88 weight beats
+  // per event, more than the 64 TDM slots: the event's occupancy is the
+  // streaming time, not the sweep.
+  QuantizedNetwork net;
+  net.layers.push_back(fc_layer(2, 16, 700, 157));
+  const SneConfig hw = SneConfig::paper_design_point(1);
+  const auto plan = ecnn::Mapper(hw).plan(net.layers[0], 8);
+  ASSERT_TRUE(plan.rounds[0].passes[0].cfg.fc_weights_streamed);
+  const auto in = data::random_stream({2, 16, 16, 8}, 0.03, 163);
+  const auto stats = expect_drain_equivalent(hw, net, in);
+  expect_matches_golden(stats, net, in);
+  EXPECT_EQ(stats.total.weight_load_beats, stats.total.events_consumed * 88);
+  EXPECT_GT(stats.total.output_events, 0u);
+}
+
+TEST(UpdateFastPath, StaleSlicesOutsideTheLiveSet) {
+  // One engine runs an 8-slice layer (one output channel per slice), then
+  // 2-slice layers: slices 2..7 keep the first layer's configuration but
+  // are no longer routed, so the fast paths' live set excludes them while
+  // the per-cycle reference still ticks all eight.
+  QuantizedNetwork net;
+  net.layers.push_back(conv_layer(2, 32, 8, 5, 167));
+  net.layers.push_back(pool_layer(8, 32, 2));
+  auto l3 = conv_layer(8, 16, 8, 6, 173);
+  l3.name = "conv3";
+  net.layers.push_back(l3);
+  const SneConfig hw = SneConfig::paper_design_point(8);
+  const ecnn::Mapper mapper(hw);
+  ASSERT_EQ(mapper.plan(net.layers[0], 10).rounds[0].passes.size(), 8u);
+  ASSERT_EQ(mapper.plan(net.layers[2], 10).rounds[0].passes.size(), 2u);
+  const auto in = data::random_stream({2, 32, 32, 10}, 0.04, 179);
+  expect_matches_golden(expect_drain_equivalent(hw, net, in), net, in);
+
+  // Same engine, second input: every slice is stale-configured at start.
+  NetworkRunStats runs[3][2];
+  for (int mode = 0; mode < 3; ++mode) {
+    SneConfig m = hw;
+    m.fast_forward = mode > 0;
+    m.drain_batching = mode > 1;
+    SneEngine engine(m, 1u << 20);
+    NetworkRunner runner(engine, /*use_wload_stream=*/false);
+    runs[mode][0] = runner.run(net, in);
+    runs[mode][1] =
+        runner.run(net, data::random_stream({2, 32, 32, 10}, 0.04, 181));
+  }
+  ASSERT_GT(runs[0][1].layers[2].output_events, 0u);
+  for (int mode = 1; mode < 3; ++mode)
+    for (int k = 0; k < 2; ++k) expect_equivalent(runs[0][k], runs[mode][k]);
 }
 
 // --- BatchRunner ------------------------------------------------------------

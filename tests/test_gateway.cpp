@@ -218,6 +218,23 @@ TEST(GatewayTest, ChunkedSessionMatchesInProcessSession) {
   EXPECT_EQ(gs.sessions_open_now, 0u);
 }
 
+TEST(GatewayTest, SessionHorizonBeyondTheEventClockIs400) {
+  // The session clock is an 8-bit event timestamp: a horizon past
+  // kMaxTime + 1 is rejected at open, not when a chunk crosses t = 255.
+  Stack stack;
+  net::HttpClient c = stack.connect();
+  const std::string too_long = std::to_string(event::kMaxTime + 2);
+  const net::ClientResponse bad = c.request(
+      "POST", "/v1/session/open?model=pipe", {{"X-Sne-Horizon", too_long}});
+  EXPECT_EQ(bad.status, 400) << bad.body;
+  const std::string widest = std::to_string(event::kMaxTime + 1);
+  const net::ClientResponse ok = c.request(
+      "POST", "/v1/session/open?model=pipe", {{"X-Sne-Horizon", widest}});
+  ASSERT_EQ(ok.status, 200) << ok.body;
+  EXPECT_EQ(c.request("POST", "/v1/session/" + ok.body + "/close").status, 200);
+  EXPECT_EQ(stack.gateway->stats().sessions_opened, 1u);
+}
+
 // --- authentication ----------------------------------------------------------
 
 TEST(GatewayTest, AuthMapsTokensToTenantsAndRejectsTheRest) {

@@ -869,6 +869,28 @@ TEST(SessionTest, HorizonExhaustionIsDiagnosable) {
   EXPECT_EQ(s.stats().timesteps_consumed, 8u);
 }
 
+TEST(SessionTest, HorizonIsBoundedByTheEventClock) {
+  const QuantizedNetwork net = pipeline_net();
+  const auto model = std::make_shared<const QuantizedNetwork>(net);
+  const SneConfig hw = SneConfig::paper_design_point(2);
+  ecnn::EnginePool pool(hw, 0, session_pool_opts());
+  serve::SessionOptions sopts;
+  // The default horizon is the whole 8-bit event clock.
+  EXPECT_EQ(sopts.horizon_timesteps, event::kMaxTime + 1);
+  serve::SessionOptions too_long = sopts;
+  too_long.horizon_timesteps = event::kMaxTime + 2;
+  EXPECT_THROW(serve::StreamingSession(pool, model, too_long), ConfigError);
+
+  // Every chunk of a default session runs, up to the last timestep 255.
+  serve::StreamingSession s(pool, model, sopts);
+  const auto full = data::random_stream({1, 16, 16, 256}, 0.01, 191);
+  for (auto& chunk : split_chunks(full, 64))
+    EXPECT_GT(s.feed(std::move(chunk)).wait().cycles, 0u);
+  EXPECT_EQ(s.stats().timesteps_consumed, event::kMaxTime + 1);
+  EXPECT_THROW(s.feed(data::random_stream({1, 16, 16, 4}, 0.1, 193)).wait(),
+               serve::ChunkError);
+}
+
 TEST(SessionTest, RejectsNondeterministicStallRng) {
   const QuantizedNetwork net = pipeline_net();
   const SneConfig hw = SneConfig::paper_design_point(2);
