@@ -132,13 +132,17 @@ class ThreadPool {
                                         std::memory_order_relaxed))
           break;
       }
+      // Read every job field before this task's done_ increment: once the
+      // last increment lands, the submitter may return and the next run()
+      // rewrites them.
+      const std::size_t total = total_;
       try {
         fn_(ctx_, static_cast<std::size_t>(k - base_));
       } catch (...) {
         std::lock_guard<std::mutex> lk(m_);
         if (!error_) error_ = std::current_exception();
       }
-      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == total_) {
+      if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
         std::lock_guard<std::mutex> lk(m_);
         done_cv_.notify_all();
       }

@@ -3,18 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/contracts.h"
 #include "common/frame_seq.h"
-#include "common/parallel.h"
 #include "common/rng.h"
+#include "train/kernels.h"
 
 // Implementation note on bit-exactness: every layout change in this file
 // (flat FrameSeq records, reusable scratch slots, split backward kernels,
 // sparsity skips) preserves the exact sequence of floating-point operations
 // applied to each individual element, so minibatch = 1 reproduces the
 // original nested-vector serial trajectory bit for bit, and no result
-// depends on the worker count. The two load-bearing arguments:
+// depends on the worker count. The load-bearing arguments:
 //  * skipping a `acc += w * s` term when s == 0.0f is exact: accumulators
 //    start at +0.0, nonzero spike values are >= 1.0f (no underflow), and in
 //    round-to-nearest a sum of nonzero terms can only produce +0.0, so the
@@ -22,359 +23,28 @@
 //    bitwise no-op;
 //  * the split backward kernels partition outputs by weight row and inputs
 //    by input channel/index: each element is owned by exactly one task and
-//    receives its contributions in the same order as the fused serial loop.
+//    receives its contributions in the same order as the fused serial loop;
+//  * the conv input gradient is a gather (src/train/kernels.h) that visits,
+//    for each input element, the same (oc, oy, ox ascending) contributions
+//    the scatter did — kx descending in gather form — in that order. It
+//    reads a zero-padded copy of the gradient and adds the product masked
+//    to +0 wherever the gradient is +/-0, instead of skipping it. That is
+//    exact: the accumulator starts at +0 and in round-to-nearest can never
+//    become -0, so adding +0 is a bitwise no-op; and masking the product
+//    (rather than multiplying by the zero) keeps an infinite or NaN weight
+//    behind a zero gradient from contributing NaN, exactly as the skip did.
+//    Pooling adds its +/-0 gradients unmasked for the same reason (there is
+//    no product);
+//  * the neuron rows compute both arms of every branch and select per lane:
+//    the value each element keeps comes from the same IEEE operations on
+//    the same operands as the branchy loop, and the discarded arm has no
+//    effect.
 namespace sne::train {
 
 namespace {
 
 using ecnn::LayerSpec;
-
-std::size_t flat_index(std::uint16_t ch, std::uint16_t y, std::uint16_t x,
-                       std::uint16_t h, std::uint16_t w) {
-  return (static_cast<std::size_t>(ch) * h + y) * w + x;
-}
-
-/// SuperSpike surrogate derivative of the Heaviside spike function.
-double surrogate(double v, double threshold, double width) {
-  const double z = 1.0 + std::abs(v - threshold) / width;
-  return 1.0 / (z * z);
-}
-
-/// Linear decay toward zero (float twin of neuron::leaked, kTowardZero).
-double leak_toward_zero(double v, double leak) {
-  if (v > leak) return v - leak;
-  if (v < -leak) return v + leak;
-  return 0.0;
-}
-
-double leak_gradient(double v, double leak) {
-  return std::abs(v) > leak ? 1.0 : 0.0;
-}
-
-/// Neuron-model constants hoisted out of every per-neuron inner loop and
-/// shared between the recording (fit) and non-recording (inference/
-/// calibration) forward paths.
-struct NeuronConsts {
-  double a_s;         ///< SRM synaptic filter exp(-1/tau_s)
-  double a_m;         ///< SRM membrane filter exp(-1/tau_m)
-  double refr_decay;  ///< SRM refractory decay exp(-0.5), constant
-  double leak;        ///< LIF linear leak per step
-
-  explicit NeuronConsts(const TrainConfig& cfg)
-      : a_s(std::exp(-1.0 / cfg.tau_s)),
-        a_m(std::exp(-1.0 / cfg.tau_m)),
-        refr_decay(std::exp(-0.5)),
-        leak(cfg.leak) {}
-};
-
-/// One timestep of the shared LIF/SRM neuron update over a row of n
-/// neurons: the single stepping body behind both the recording forward in
-/// fit() and the inference forward, so the two cannot drift. kRecord stores
-/// the pre-reset membrane for the backward pass.
-template <bool kRecord>
-void step_neuron_row(NeuronModel model, const NeuronConsts& nc, double th,
-                     const float* drive, std::size_t n, double* v, double* syn,
-                     double* refr, float* out, float* v_pre) {
-  if (model == NeuronModel::kSneLif) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double vp = leak_toward_zero(v[i], nc.leak) + drive[i];
-      if constexpr (kRecord) v_pre[i] = static_cast<float>(vp);
-      const bool spike = vp > th;
-      out[i] = spike ? 1.0f : 0.0f;
-      v[i] = spike ? 0.0 : vp;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      syn[i] = nc.a_s * syn[i] + drive[i];
-      const double vp = nc.a_m * v[i] + syn[i] - refr[i];
-      refr[i] *= nc.refr_decay;
-      if constexpr (kRecord) v_pre[i] = static_cast<float>(vp);
-      const bool spike = vp > th;
-      out[i] = spike ? 1.0f : 0.0f;
-      if (spike) refr[i] += 2.0 * th;
-      v[i] = spike ? 0.0 : vp;
-    }
-  }
-}
-
-/// OR-pooling activation: a spike anywhere in the window (drive > 0) fires.
-void or_pool_row(const float* drive, std::size_t n, float* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = drive[i] > 0.0f ? 1.0f : 0.0f;
-}
-
-/// Ascending nonzero positions of one timestep row (the event-driven
-/// kernels below iterate these instead of scanning dense windows).
-void gather_nonzeros(const float* row, std::size_t n,
-                     std::vector<std::uint32_t>& out) {
-  out.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    if (row[i] != 0.0f) out.push_back(static_cast<std::uint32_t>(i));
-}
-
-/// Reusable scratch for the event-driven linear operators: the double
-/// accumulator image, a transient nonzero list and the decomposed (channel,
-/// row, column) coordinates of the current nonzero set.
-struct OpScratch {
-  std::vector<double> acc;
-  std::vector<std::uint32_t> nz;
-  std::vector<std::uint16_t> dec_ic, dec_iy, dec_ix;
-
-  void ensure(std::size_t max_out, std::size_t max_in) {
-    if (acc.size() < max_out) acc.resize(max_out);
-    if (dec_ic.size() < max_in) {
-      dec_ic.resize(max_in);
-      dec_iy.resize(max_in);
-      dec_ix.resize(max_in);
-    }
-  }
-
-  /// Splits flat input indices into (ic, iy, ix) once per row, so the
-  /// per-output-channel scatter loops do no division.
-  void decompose(const std::uint32_t* idx, std::size_t nnz, std::uint16_t in_w,
-                 std::uint16_t in_h) {
-    const std::uint32_t plane = static_cast<std::uint32_t>(in_w) * in_h;
-    for (std::size_t j = 0; j < nnz; ++j) {
-      const std::uint32_t i = idx[j];
-      dec_ic[j] = static_cast<std::uint16_t>(i / plane);
-      const std::uint32_t rem = i % plane;
-      dec_iy[j] = static_cast<std::uint16_t>(rem / in_w);
-      dec_ix[j] = static_cast<std::uint16_t>(rem % in_w);
-    }
-  }
-};
-
-/// Applies a layer's linear operator to one timestep of input spikes,
-/// driven by the nonzero input list (idx/nnz, ascending).
-///
-/// Bit-exactness: for any fixed output element, its contributions arrive in
-/// ascending input order, which is exactly the order the original dense
-/// window gather accumulated them in (the window loops walk (ic, iy, ix)
-/// lexicographically), and the skipped zero terms are bitwise no-ops (see
-/// file comment). Conv/pool scatter into a zeroed double image and cast
-/// once at the end — same double accumulator, same final float rounding.
-void forward_op(const LayerSpec& l, const float* s_in,
-                const std::uint32_t* idx, std::size_t nnz, OpScratch& sc,
-                float* drive) {
-  const std::size_t n_out = l.out_flat();
-  switch (l.type) {
-    case LayerSpec::Type::kFc: {
-      const std::size_t n_in = l.in_flat();
-      parallel_for(0, l.out_ch, [&](std::size_t o) {
-        double acc = 0.0;
-        const float* w = l.weights.data() + o * n_in;
-        for (std::size_t j = 0; j < nnz; ++j) {
-          const std::uint32_t i = idx[j];
-          acc += w[i] * s_in[i];
-        }
-        drive[o] = static_cast<float>(acc);
-      });
-      return;
-    }
-    case LayerSpec::Type::kPool: {
-      const std::uint16_t ow = l.out_w(), oh = l.out_h();
-      sc.ensure(n_out, nnz);
-      double* acc = sc.acc.data();
-      std::fill_n(acc, n_out, 0.0);
-      sc.decompose(idx, nnz, l.in_w, l.in_h);
-      for (std::size_t j = 0; j < nnz; ++j) {
-        const std::uint16_t c = sc.dec_ic[j], iy = sc.dec_iy[j],
-                            ix = sc.dec_ix[j];
-        const float s = s_in[idx[j]];
-        for (std::uint16_t ky = 0; ky < l.kernel; ++ky) {
-          const int ny = static_cast<int>(iy) - ky;
-          if (ny < 0 || ny % l.stride != 0) continue;
-          const int oy = ny / l.stride;
-          if (oy >= oh) continue;
-          for (std::uint16_t kx = 0; kx < l.kernel; ++kx) {
-            const int nx = static_cast<int>(ix) - kx;
-            if (nx < 0 || nx % l.stride != 0) continue;
-            const int ox = nx / l.stride;
-            if (ox >= ow) continue;
-            acc[flat_index(c, static_cast<std::uint16_t>(oy),
-                           static_cast<std::uint16_t>(ox), oh, ow)] += s;
-          }
-        }
-      }
-      for (std::size_t o = 0; o < n_out; ++o)
-        drive[o] = static_cast<float>(acc[o]);
-      return;
-    }
-    case LayerSpec::Type::kConv: {
-      const std::uint16_t ow = l.out_w(), oh = l.out_h();
-      sc.ensure(n_out, nnz);
-      double* acc = sc.acc.data();
-      std::fill_n(acc, n_out, 0.0);
-      sc.decompose(idx, nnz, l.in_w, l.in_h);
-      const std::size_t plane = static_cast<std::size_t>(ow) * oh;
-      const std::size_t ksq = static_cast<std::size_t>(l.kernel) * l.kernel;
-      parallel_for(0, l.out_ch, [&](std::size_t oc) {
-        double* acc_oc = acc + oc * plane;
-        for (std::size_t j = 0; j < nnz; ++j) {
-          const std::uint16_t ic = sc.dec_ic[j], iy = sc.dec_iy[j],
-                              ix = sc.dec_ix[j];
-          const float s = s_in[idx[j]];
-          const float* w = l.weights.data() + (oc * l.in_ch + ic) * ksq;
-          for (std::uint16_t ky = 0; ky < l.kernel; ++ky) {
-            const int ny = static_cast<int>(iy) + l.pad - ky;
-            if (ny < 0 || ny % l.stride != 0) continue;
-            const int oy = ny / l.stride;
-            if (oy >= oh) continue;
-            for (std::uint16_t kx = 0; kx < l.kernel; ++kx) {
-              const int nx = static_cast<int>(ix) + l.pad - kx;
-              if (nx < 0 || nx % l.stride != 0) continue;
-              const int ox = nx / l.stride;
-              if (ox >= ow) continue;
-              acc_oc[static_cast<std::size_t>(oy) * ow + ox] +=
-                  w[ky * l.kernel + kx] * s;
-            }
-          }
-        }
-      });
-      for (std::size_t o = 0; o < n_out; ++o)
-        drive[o] = static_cast<float>(acc[o]);
-      return;
-    }
-  }
-}
-
-/// Weight-gradient half of the backward operator, input-driven: for every
-/// nonzero input spike, walk the (few) outputs its weight taps touch.
-/// Accumulation is disjoint per output row/channel (parallel-safe) and, for
-/// any fixed weight, contributions arrive in ascending (oy, ox) order —
-/// the order of the original output-stationary loop.
-void backward_op_gw(const LayerSpec& l, const float* s_in,
-                    const std::uint32_t* idx, std::size_t nnz, OpScratch& sc,
-                    const float* g_drive, float* g_w) {
-  switch (l.type) {
-    case LayerSpec::Type::kFc: {
-      const std::size_t n_in = l.in_flat();
-      parallel_for(0, l.out_ch, [&](std::size_t o) {
-        const float g = g_drive[o];
-        if (g == 0.0f) return;
-        float* gw = g_w + o * n_in;
-        for (std::size_t j = 0; j < nnz; ++j) {
-          const std::uint32_t i = idx[j];
-          gw[i] += g * s_in[i];
-        }
-      });
-      return;
-    }
-    case LayerSpec::Type::kConv: {
-      const std::uint16_t ow = l.out_w(), oh = l.out_h();
-      sc.ensure(0, nnz);
-      sc.decompose(idx, nnz, l.in_w, l.in_h);
-      const std::size_t ksq = static_cast<std::size_t>(l.kernel) * l.kernel;
-      parallel_for(0, l.out_ch, [&](std::size_t oc) {
-        const float* g_oc =
-            g_drive + oc * static_cast<std::size_t>(ow) * oh;
-        float* gw_oc = g_w + oc * l.in_ch * ksq;
-        for (std::size_t j = 0; j < nnz; ++j) {
-          const std::uint16_t ic = sc.dec_ic[j], iy = sc.dec_iy[j],
-                              ix = sc.dec_ix[j];
-          const float s = s_in[idx[j]];
-          float* gw = gw_oc + ic * ksq;
-          for (std::uint16_t ky = 0; ky < l.kernel; ++ky) {
-            const int ny = static_cast<int>(iy) + l.pad - ky;
-            if (ny < 0 || ny % l.stride != 0) continue;
-            const int oy = ny / l.stride;
-            if (oy >= oh) continue;
-            for (std::uint16_t kx = 0; kx < l.kernel; ++kx) {
-              const int nx = static_cast<int>(ix) + l.pad - kx;
-              if (nx < 0 || nx % l.stride != 0) continue;
-              const int ox = nx / l.stride;
-              if (ox >= ow) continue;
-              const float g = g_oc[static_cast<std::size_t>(oy) * ow + ox];
-              if (g == 0.0f) continue;
-              gw[ky * l.kernel + kx] += g * s;
-            }
-          }
-        }
-      });
-      return;
-    }
-    case LayerSpec::Type::kPool:
-      return;  // no weights
-  }
-}
-
-/// Input-gradient half of the backward operator (the one dense pass left:
-/// the surrogate makes g_drive dense, so there is no sparsity to ride).
-/// The scatter is partitioned so every g_in element is owned by exactly one
-/// task (fc: by input index; conv: by (input channel, input row); pool: by
-/// input channel) and receives its contributions in the same order as the
-/// original fused loop — bitwise identical for any worker count.
-void backward_op_gin(const LayerSpec& l, const float* g_drive, float* g_in) {
-  switch (l.type) {
-    case LayerSpec::Type::kFc: {
-      const std::size_t n_in = l.in_flat();
-      parallel_for(0, n_in, [&](std::size_t i) {
-        float gi = g_in[i];
-        const float* w = l.weights.data();
-        for (std::size_t o = 0; o < l.out_ch; ++o) {
-          const float g = g_drive[o];
-          if (g == 0.0f) continue;
-          gi += g * w[o * n_in + i];
-        }
-        g_in[i] = gi;
-      });
-      return;
-    }
-    case LayerSpec::Type::kPool: {
-      const std::uint16_t ow = l.out_w(), oh = l.out_h();
-      parallel_for(0, l.in_ch, [&](std::size_t ci) {
-        const std::uint16_t c = static_cast<std::uint16_t>(ci);
-        for (std::uint16_t oy = 0; oy < oh; ++oy)
-          for (std::uint16_t ox = 0; ox < ow; ++ox) {
-            const float g = g_drive[flat_index(c, oy, ox, oh, ow)];
-            if (g == 0.0f) continue;
-            for (std::uint16_t ky = 0; ky < l.kernel; ++ky)
-              for (std::uint16_t kx = 0; kx < l.kernel; ++kx) {
-                const std::uint16_t iy = oy * l.stride + ky;
-                const std::uint16_t ix = ox * l.stride + kx;
-                if (iy >= l.in_h || ix >= l.in_w) continue;
-                g_in[flat_index(c, iy, ix, l.in_h, l.in_w)] += g;
-              }
-          }
-      });
-      return;
-    }
-    case LayerSpec::Type::kConv: {
-      const std::uint16_t ow = l.out_w(), oh = l.out_h();
-      const std::size_t ksq = static_cast<std::size_t>(l.kernel) * l.kernel;
-      // One task per (input channel, input row): fine enough to engage the
-      // pool on realistic conv shapes while keeping per-element ownership.
-      parallel_for(0, static_cast<std::size_t>(l.in_ch) * l.in_h,
-                   [&](std::size_t task) {
-        const std::uint16_t ic = static_cast<std::uint16_t>(task / l.in_h);
-        const std::uint16_t iy = static_cast<std::uint16_t>(task % l.in_h);
-        float* gin_row = g_in + flat_index(ic, iy, 0, l.in_h, l.in_w);
-        for (std::uint16_t oc = 0; oc < l.out_ch; ++oc) {
-          const float* g_oc =
-              g_drive + static_cast<std::size_t>(oc) * ow * oh;
-          const float* w_base =
-              l.weights.data() + (static_cast<std::size_t>(oc) * l.in_ch + ic) * ksq;
-          for (std::uint16_t oy = 0; oy < oh; ++oy) {
-            const int ky = static_cast<int>(iy) + l.pad -
-                           static_cast<int>(oy) * l.stride;
-            if (ky < 0 || ky >= l.kernel) continue;
-            const float* g_row = g_oc + static_cast<std::size_t>(oy) * ow;
-            const float* w_row = w_base + static_cast<std::size_t>(ky) * l.kernel;
-            for (std::uint16_t ox = 0; ox < ow; ++ox) {
-              const float g = g_row[ox];
-              if (g == 0.0f) continue;
-              for (std::uint16_t kx = 0; kx < l.kernel; ++kx) {
-                const int ix = static_cast<int>(ox) * l.stride - l.pad + kx;
-                if (ix < 0 || ix >= l.in_w) continue;
-                gin_row[ix] += g * w_row[kx];
-              }
-            }
-          }
-        }
-      });
-      return;
-    }
-  }
-}
+using namespace detail;
 
 /// Rasterizes an event stream into a dense time-major spike buffer
 /// (duplicate events accumulate, matching per-event integration downstream).
@@ -386,6 +56,33 @@ void rasterize(const event::EventStream& s, FrameSeq& dense) {
   for (const event::Event& e : s.events()) {
     if (e.op != event::Op::kUpdate) continue;
     dense.row(e.t)[flat_index(e.ch, e.y, e.x, g.height, g.width)] += 1.0f;
+  }
+}
+
+/// Rejects a stream the network cannot take: its flat (channels x width x
+/// height) size must be the first layer's input size, or the forward
+/// kernels would index past the rasterized rows.
+void expect_stream_fits(const event::StreamGeometry& g,
+                        const ecnn::Network& net) {
+  const std::size_t n_in = net.layers.front().in_flat();
+  if (g.sites() != n_in)
+    throw ConfigError("trainer: stream of " + std::to_string(g.sites()) +
+                      " sites does not fit the network input of " +
+                      std::to_string(n_in));
+}
+
+/// Rejects a dataset that does not fit the network, or whose samples do not
+/// all share its geometry: fit() sizes every per-sample record from the
+/// dataset geometry.
+void expect_dataset_fits(const data::Dataset& ds, const ecnn::Network& net) {
+  expect_stream_fits(ds.geometry, net);
+  const event::StreamGeometry& want = ds.geometry;
+  for (std::size_t k = 0; k < ds.samples.size(); ++k) {
+    const event::StreamGeometry& g = ds.samples[k].stream.geometry();
+    if (g.channels != want.channels || g.width != want.width ||
+        g.height != want.height || g.timesteps != want.timesteps)
+      throw ConfigError("trainer: sample " + std::to_string(k) +
+                        " geometry differs from the dataset's");
   }
 }
 
@@ -619,14 +316,13 @@ struct Trainer::FitSlot {
       // dL/d(output spike) of this layer: consumer's input gradient.
       const FrameSeq& g_out =
           li + 1 < layers.size() ? layers[li + 1].g_in : g_top;
-      // The first layer's input gradient has no consumer; skip the scatter.
+      // The first layer's input gradient has no consumer; skip the gather.
       const bool need_gin = li > 0;
-      if (need_gin) r.g_in.zero();
 
       if (r.is_pool) {
         if (need_gin)
           for (std::size_t t = 0; t < T; ++t)
-            backward_op_gin(l, g_out.row(t), r.g_in.row(t));
+            backward_op_gin(l, g_out.row(t), op, r.g_in.row(t));
         continue;
       }
 
@@ -639,36 +335,16 @@ struct Trainer::FitSlot {
         const float* vpre = r.v_pre.row(t);
         const float* spk = r.spikes.row(t);
         const float* go = g_out.row(t);
-        if (cfg.model == NeuronModel::kSneLif) {
-          for (std::size_t i = 0; i < r.n_out; ++i) {
-            const double vp = vpre[i];
-            // dL/dVp[t]: surrogate spike path + state path (reset detached).
-            const double g_vp =
-                static_cast<double>(go[i]) *
-                    surrogate(vp, th, cfg.surrogate_width) +
-                (spk[i] > 0.5f ? 0.0 : g_v_post[i]);
-            g_drive[i] = static_cast<float>(g_vp);
-            // V[t-1] feeds Vp[t] through the leak.
-            g_v_post[i] = g_vp * leak_gradient(vp, nc.leak);
-          }
-        } else {
-          for (std::size_t i = 0; i < r.n_out; ++i) {
-            const double vp = vpre[i];
-            const double g_vp =
-                static_cast<double>(go[i]) *
-                    surrogate(vp, th, cfg.surrogate_width) +
-                (spk[i] > 0.5f ? 0.0 : g_v_post[i]);
-            // Vp[t] = a_m V[t-1] + i[t] - r; i[t] = a_s i[t-1] + I[t].
-            const double gi = g_vp + g_syn[i];
-            g_drive[i] = static_cast<float>(gi);
-            g_syn[i] = gi * nc.a_s;
-            g_v_post[i] = g_vp * nc.a_m;
-          }
-        }
+        if (cfg.model == NeuronModel::kSneLif)
+          backward_lif_row(nc, th, vpre, spk, go, r.n_out, g_v_post.data(),
+                           g_drive.data());
+        else
+          backward_srm_row(nc, th, vpre, spk, go, r.n_out, g_v_post.data(),
+                           g_syn.data(), g_drive.data());
         backward_op_gw(l, r.in->row(t), r.nz.data() + r.nz_off[t],
                        r.nz_off[t + 1] - r.nz_off[t], op, g_drive.data(),
                        r.g_w.data());
-        if (need_gin) backward_op_gin(l, g_drive.data(), r.g_in.row(t));
+        if (need_gin) backward_op_gin(l, g_drive.data(), op, r.g_in.row(t));
       }
     }
   }
@@ -708,6 +384,7 @@ void Trainer::calibrate_thresholds(const data::Dataset& calib,
                                    double target_gain,
                                    std::size_t max_samples) {
   SNE_EXPECTS(!calib.samples.empty() && target_gain > 0.0);
+  expect_dataset_fits(calib, net_);
   const std::size_t n =
       std::min<std::size_t>(max_samples, calib.samples.size());
   const NeuronConsts nc(cfg_);
@@ -761,6 +438,7 @@ void Trainer::calibrate_thresholds(const data::Dataset& calib,
 
 std::vector<double> Trainer::forward_counts(
     const event::EventStream& stream) const {
+  expect_stream_fits(stream.geometry(), net_);
   const NeuronConsts nc(cfg_);
   std::vector<double> counts(net_.layers.back().out_ch, 0.0);
   forward_network_counts(net_, cfg_.model, nc, stream, counts.data(),
@@ -770,6 +448,7 @@ std::vector<double> Trainer::forward_counts(
 
 double Trainer::evaluate(const data::Dataset& ds) const {
   if (ds.samples.empty()) return 0.0;
+  expect_dataset_fits(ds, net_);
   const NeuronConsts nc(cfg_);
   const std::size_t classes = net_.layers.back().out_ch;
   std::vector<std::uint8_t> hit(ds.samples.size(), 0);
@@ -792,6 +471,7 @@ double Trainer::evaluate(const data::Dataset& ds) const {
 
 std::vector<EpochStats> Trainer::fit(const data::Dataset& train) {
   SNE_EXPECTS(!train.samples.empty());
+  expect_dataset_fits(train, net_);
   const std::uint16_t T = train.geometry.timesteps;
   const std::size_t classes = net_.layers.back().out_ch;
   const NeuronConsts nc(cfg_);

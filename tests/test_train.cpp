@@ -3,6 +3,7 @@
 // float model.
 #include <gtest/gtest.h>
 
+#include "common/contracts.h"
 #include "data/synthetic.h"
 #include "ecnn/golden.h"
 #include "ecnn/quantized.h"
@@ -117,6 +118,51 @@ TEST(TrainerTest, ForwardCountsShapeMatchesClasses) {
   const auto task = make_separable_task(1, 9);
   const auto counts = t.forward_counts(task.samples[0].stream);
   EXPECT_EQ(counts.size(), 2u);
+}
+
+/// Replaces sample k's stream with one event in a stream of geometry g.
+void reshape_sample(data::Dataset& d, std::size_t k,
+                    event::StreamGeometry g) {
+  event::EventStream s(g);
+  s.push_update(static_cast<std::uint16_t>(g.timesteps - 1),
+                static_cast<std::uint16_t>(g.channels - 1),
+                static_cast<std::uint8_t>(g.width - 1),
+                static_cast<std::uint8_t>(g.height - 1));
+  d.samples[k].stream = std::move(s);
+}
+
+void expect_every_entry_point_rejects(const data::Dataset& d) {
+  Trainer t(tiny_net(), TrainConfig{});
+  EXPECT_THROW(t.fit(d), ConfigError);
+  EXPECT_THROW(t.evaluate(d), ConfigError);
+  EXPECT_THROW(t.calibrate_thresholds(d), ConfigError);
+}
+
+TEST(TrainerTest, RejectsSampleWithMoreTimestepsThanTheDataset) {
+  // fit() sizes its per-sample records from the dataset's 10 timesteps, so
+  // a 16-step sample would overrun them.
+  data::Dataset d = make_separable_task(2, 11);
+  event::StreamGeometry g = d.geometry;
+  g.timesteps = 16;
+  reshape_sample(d, 1, g);
+  expect_every_entry_point_rejects(d);
+}
+
+TEST(TrainerTest, RejectsStreamsThatDoNotFitTheNetworkInput) {
+  // A dataset of 2x8x8 frames for a 1x8x8 input: every row over-reads.
+  data::Dataset wide = make_separable_task(2, 12);
+  wide.geometry.channels = 2;
+  for (std::size_t k = 0; k < wide.samples.size(); ++k)
+    reshape_sample(wide, k, wide.geometry);
+  expect_every_entry_point_rejects(wide);
+  Trainer t(tiny_net(), TrainConfig{});
+  EXPECT_THROW(t.forward_counts(wide.samples[0].stream), ConfigError);
+
+  // Same flat size, other channel/width split: rejected as a sample whose
+  // geometry differs from the dataset's.
+  data::Dataset mixed = make_separable_task(2, 13);
+  reshape_sample(mixed, 0, event::StreamGeometry{2, 4, 8, 10});
+  expect_every_entry_point_rejects(mixed);
 }
 
 }  // namespace
