@@ -29,7 +29,6 @@
 #include "obs/metrics.h"
 #include "obs/run_profile.h"
 #include "obs/trace.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "train/trainer.h"
@@ -411,23 +410,26 @@ BENCHMARK(BM_TrainerEpoch)
     ->Unit(benchmark::kMillisecond);
 
 // Serving throughput: a batch of requests through the sne::serve runtime.
-// Arg 0: engines (server workers / pipeline stages); arg 1: execution mode.
+// Arg 0: engines (server workers == pooled engines); arg 1: execution mode.
+// Mode numbers are stable row names in BENCH_simthroughput.json, so retired
+// modes (2 and 5, the removed pipelined deployment) leave gaps.
 //
 // Host-loaded weights, 3-layer conv/pool/fc model (PR 4's workload):
-//   0 = fresh-construct: every request builds its own engine (pre-pool cost)
+//   0 = fresh-construct: a serial BatchRunner::run_one loop on the bench
+//       thread, one new engine per request and no server (the pre-pool
+//       reference; registered with one engine only)
 //   1 = pooled-reuse, cold: leases reset engines, reprograms every request
-//   2 = pipelined sharding, cold: layer ranges on different pooled engines
-// Modes 0-2 produce bitwise-identical per-request results (test_serve pins
-// it), so sim_cycles_per_s denominators agree — wall clock is the product.
+// Modes 0 and 1 produce bitwise-identical per-request results (test_serve
+// pins it), so sim_cycles_per_s denominators agree — wall clock is the
+// product.
 //
 // WLOAD-streamed weights, weight-heavy single-conv model (programming
 // dominates a request — the weight-resident serving workload):
 //   3 = pooled, cold: every request streams the full WLOAD program
 //   4 = pooled, warm: weight-resident leases skip the WLOAD phase entirely
-//   5 = pipelined, warm: weight-resident stages (deploy-time warmup)
-// Modes 3-5 agree on events/spikes and post-programming counters (the
-// relaxed equality tier); warm modes report fewer sim cycles because the
-// programming phase is simply absent — the 4-vs-3 wall-clock gap is the
+// Modes 3 and 4 agree on events/spikes and post-programming counters (the
+// relaxed equality tier); the warm mode reports fewer sim cycles because
+// the programming phase is simply absent — the 4-vs-3 wall-clock gap is the
 // program-once / serve-many win.
 //
 // Fault-tolerance mode (3-layer host-loaded model again):
@@ -458,13 +460,11 @@ BENCHMARK(BM_TrainerEpoch)
 void BM_ServeThroughput(benchmark::State& state) {
   const auto engines = static_cast<unsigned>(state.range(0));
   const auto mode = static_cast<int>(state.range(1));
-  const bool wload = mode >= 3 && mode <= 5;
+  const bool wload = mode == 3 || mode == 4;
   const std::string mode_label = mode == 0   ? "fresh-construct"
                                  : mode == 1 ? "pooled-reuse"
-                                 : mode == 2 ? "pipelined"
                                  : mode == 3 ? "wload-cold-pooled"
                                  : mode == 4 ? "wload-warm-pooled"
-                                 : mode == 5 ? "wload-warm-pipelined"
                                  : mode == 6 ? "chaos-retry-shed"
                                  : mode == 7 ? "multi-tenant-skew"
                                              : "gateway-loopback";
@@ -549,24 +549,16 @@ void BM_ServeThroughput(benchmark::State& state) {
 
   std::uint64_t cycles = 0;
   std::uint64_t requests = 0;
-  if (mode == 2 || mode == 5) {
-    serve::PipelineOptions po;
-    po.stages = engines;
-    po.use_wload_stream = wload;
-    po.weight_resident = mode == 5;
-    if (mode == 5)
-      po.warmup_timesteps = inputs.front().geometry().timesteps;
-    serve::PipelineDeployment deployment(hw, net, po);
+  if (mode == 0) {
+    const ecnn::BatchRunner reference(hw, net);
     for (auto _ : state) {
-      const auto results = deployment.run(inputs);
-      for (const auto& r : results) cycles += r.cycles;
-      requests += results.size();
-      benchmark::DoNotOptimize(results.size());
+      for (const auto& in : inputs) cycles += reference.run_one(in).cycles;
+      requests += inputs.size();
+      benchmark::DoNotOptimize(cycles);
     }
   } else {
     serve::ServeOptions so;
     so.engines = engines;
-    so.reuse_engines = mode != 0;
     so.warm_weights = mode == 4;
     so.use_wload_stream = wload;
     serve::InferenceServer server(registry, hw, so);
@@ -685,13 +677,8 @@ void BM_ServeThroughput(benchmark::State& state) {
   state.SetLabel("mode=" + mode_label);
 }
 BENCHMARK(BM_ServeThroughput)
-    ->Args({1, 0})->Args({1, 1})
-    ->Args({2, 0})->Args({2, 1})->Args({4, 1})
-    ->Args({2, 2})->Args({3, 2})
-    // Mode 5's single-layer wload net clamps the deployment to one stage, so
-    // the honest arg is 1 — a multi-stage warm-pipeline datapoint needs a
-    // multi-layer wload workload first.
-    ->Args({1, 3})->Args({1, 4})->Args({2, 3})->Args({2, 4})->Args({1, 5})
+    ->Args({1, 0})->Args({1, 1})->Args({2, 1})->Args({3, 1})->Args({4, 1})
+    ->Args({1, 3})->Args({1, 4})->Args({2, 3})->Args({2, 4})
     ->Args({2, 6})->Args({2, 7})->Args({2, 8})
     ->UseRealTime()  // dispatch workers shift work off the timing thread
     ->Unit(benchmark::kMillisecond);

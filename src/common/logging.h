@@ -1,7 +1,7 @@
 // Leveled stderr logging. Off by default above WARN; benches and examples
 // raise the level explicitly.
 //
-// Thread-safe: serving-stack workers, pipeline stages and session threads
+// Thread-safe: serving-stack workers, gateway threads and session threads
 // all log. Each message is preformatted into one buffer and emitted with a
 // single write(2) to stderr, so concurrent messages never interleave
 // mid-line (POSIX pipe/terminal writes of modest size are atomic in

@@ -147,7 +147,7 @@ LayerRunStats NetworkRunner::run_layer(const QuantizedLayerSpec& layer,
         obs::ScopedSpan program_span("ecnn.program", pass.slice_id);
         engine_->configure_slice(pass.slice_id, pass.cfg);
         program_weights(pass, stats.programming, stats.programming_cycles,
-                        &stats.profile);
+                        stats.profile);
         if (tag != 0) engine_->tag_resident_pass(pass.slice_id, tag);
       }
       active.push_back(pass.slice_id);
@@ -202,28 +202,6 @@ const LayerPlan& NetworkRunner::cached_plan(const QuantizedLayerSpec& layer,
   return plan_cache_.back().plan;
 }
 
-void NetworkRunner::program_layer(const QuantizedLayerSpec& layer,
-                                  std::uint16_t timesteps,
-                                  std::uint64_t model_fp,
-                                  std::size_t layer_index) {
-  SNE_EXPECTS(model_fp != 0);
-  check_warm_preconditions(model_fp);
-  const LayerPlan& plan = cached_plan(layer, timesteps, model_fp, layer_index);
-  hwsim::ActivityCounters discard;
-  std::uint64_t discard_cycles = 0;
-  for (std::size_t ri = 0; ri < plan.rounds.size(); ++ri) {
-    for (std::size_t pi = 0; pi < plan.rounds[ri].passes.size(); ++pi) {
-      const SlicePass& pass = plan.rounds[ri].passes[pi];
-      const std::uint64_t tag =
-          pass_residency_tag(model_fp, timesteps, layer_index, ri, pi);
-      if (engine_->warm_rewind_slice(pass.slice_id, tag)) continue;
-      engine_->configure_slice(pass.slice_id, pass.cfg);
-      program_weights(pass, discard, discard_cycles);
-      engine_->tag_resident_pass(pass.slice_id, tag);
-    }
-  }
-}
-
 void NetworkRunner::check_warm_preconditions(std::uint64_t model_fp) const {
   // Cold runs interleave WLOAD stream runs with the input run on one
   // engine, so under the whole-engine RNG ordering the contention-stall
@@ -247,7 +225,7 @@ void NetworkRunner::check_warm_preconditions(std::uint64_t model_fp) const {
 void NetworkRunner::program_weights(const SlicePass& pass,
                                     hwsim::ActivityCounters& agg,
                                     std::uint64_t& cycles,
-                                    obs::RunProfile* prof) {
+                                    obs::RunProfile& prof) {
   // Chaos registration point: a programming failure mid-request is the
   // canonical "engine state now unknown" fault the quarantine+retry story
   // is built around (tests/test_faults.cpp).
@@ -283,7 +261,7 @@ void NetworkRunner::program_weights(const SlicePass& pass,
   const core::RunResult r = engine_->run(beats);
   agg += r.counters;
   cycles += r.cycles;
-  if (prof) *prof += r.profile;
+  prof += r.profile;
 }
 
 }  // namespace sne::ecnn

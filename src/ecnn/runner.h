@@ -131,11 +131,10 @@ class NetworkRunner {
                       std::uint64_t model_fp = 0);
 
   /// Runs one layer (all of its mapper rounds) on the engine and returns its
-  /// stats; `run` is a fold of this over the network's layers. Public as the
-  /// serving reuse hook: a pipeline stage executes exactly this per owned
-  /// layer, so sharded execution reproduces the serial protocol bit for bit
-  /// (sne::serve::PipelineDeployment). `model_fp`/`layer_index` identify the
-  /// layer's passes for the warm residency check (see run()).
+  /// stats; `run` is a fold of this over the network's layers. Public so a
+  /// caller can time each layer on its own (the per-layer host-time
+  /// attribution). `model_fp`/`layer_index` identify the layer's passes for
+  /// the warm residency check (see run()).
   LayerRunStats run_layer(const QuantizedLayerSpec& layer,
                           const event::EventStream& input,
                           event::FirePolicy policy =
@@ -143,24 +142,13 @@ class NetworkRunner {
                           std::uint64_t model_fp = 0,
                           std::size_t layer_index = 0);
 
-  /// Deploy-time programming: installs every pass of `layer` (all rounds)
-  /// and tags residency without consuming any input, so subsequent warm
-  /// runs of the same (model, timesteps) skip the matching passes. The
-  /// programming's counters and cycles are deployment cost, charged to no
-  /// request (the relaxed tier's accounting). Note that rounds program the
-  /// same slices in sequence, so only the final round's passes remain
-  /// resident for multi-round layers — warm runs reprogram the rest.
-  void program_layer(const QuantizedLayerSpec& layer, std::uint16_t timesteps,
-                     std::uint64_t model_fp, std::size_t layer_index);
-
   const Mapper& mapper() const { return mapper_; }
 
  private:
   /// Installs one pass's weights, either over the stream or host-side.
-  /// `prof` (optional) folds in the WLOAD run's replay profile.
+  /// `prof` folds in the WLOAD run's replay profile.
   void program_weights(const SlicePass& pass, hwsim::ActivityCounters& agg,
-                       std::uint64_t& cycles,
-                       obs::RunProfile* prof = nullptr);
+                       std::uint64_t& cycles, obs::RunProfile& prof);
 
   /// Rejects warm mode in the one configuration whose programming phase is
   /// entangled with the input run (streamed WLOAD under randomized memory

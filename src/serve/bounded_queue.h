@@ -1,10 +1,10 @@
-// Bounded blocking queue: the admission and inter-stage channel of the
-// serving runtime.
+// Bounded blocking queue: the gateway's job channel and a streaming
+// session's chunk channel.
 //
 // Semantics chosen for serving: push() blocks while full (backpressure
-// propagates to the submitter / upstream pipeline stage), try_push() rejects
-// instead, close() wakes everything — subsequent pushes fail, pops keep
-// draining what was accepted so no admitted request is dropped on shutdown.
+// propagates to the producer), try_push() rejects instead, close() wakes
+// everything — subsequent pushes fail, pops keep draining what was accepted
+// so no admitted request is dropped on shutdown.
 #pragma once
 
 #include <chrono>

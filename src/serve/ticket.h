@@ -1,10 +1,10 @@
 // Ticket: the future half of an async inference submission.
 //
-// submit() returns immediately with a Ticket; the dispatch workers (or
-// pipeline stages) fulfill it when the sample finishes. wait() blocks and
-// either returns the NetworkRunStats or rethrows the failure that the
-// request hit on its worker — exceptions cross the thread boundary instead
-// of killing the server.
+// submit() returns immediately with a Ticket; a dispatch worker (or a
+// session's chunk worker) fulfills it when the sample finishes. wait()
+// blocks and either returns the NetworkRunStats or rethrows the failure that
+// the request hit on its worker — exceptions cross the thread boundary
+// instead of killing the server.
 #pragma once
 
 #include <chrono>
@@ -123,7 +123,6 @@ class Ticket {
 
  private:
   friend class InferenceServer;
-  friend class PipelineDeployment;
   friend class StreamingSession;
   explicit Ticket(std::shared_ptr<detail::TicketState> state)
       : state_(std::move(state)) {}

@@ -25,6 +25,7 @@
 #include "event/event_io.h"
 #include "net/client.h"
 #include "net/gateway.h"
+#include "net/http.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/session.h"
@@ -371,6 +372,139 @@ TEST(GatewayTest, MalformedRequestsGetClientErrorsNeverCrashes) {
   }
   const net::GatewayStats gs = stack.gateway->stats();
   EXPECT_GE(gs.parse_errors, 7u);
+}
+
+// --- parser cap boundaries ---------------------------------------------------
+//
+// take_line() accepts a line whose LF sits exactly at its cap, consuming
+// cap + 1 bytes, so a header or trailer section can overrun max_header_bytes
+// by one byte past take_line's own check. The post-increment guards after
+// take_line catch that byte; these cases reach them with sections of L - 1,
+// L and L + 1 consumed bytes, fed whole, byte by byte and at every two-piece
+// split.
+
+constexpr std::size_t kCapL = 64;
+
+net::HttpLimits small_header_limits() {
+  net::HttpLimits limits;
+  limits.max_header_bytes = kCapL;
+  return limits;
+}
+
+struct ParseEnd {
+  net::HttpParser::Status status;
+  int error_status;
+  std::string body;
+  std::size_t headers;
+};
+
+/// Feeds `bytes` to a fresh parser in pieces ending at `cuts` (ascending
+/// offsets, then the end) until it stops asking for more.
+ParseEnd parse_split(const std::string& bytes,
+                     const std::vector<std::size_t>& cuts) {
+  net::HttpParser p(small_header_limits());
+  net::HttpParser::Status st = net::HttpParser::Status::kNeedMore;
+  std::size_t at = 0;
+  for (std::size_t i = 0;
+       i <= cuts.size() && st == net::HttpParser::Status::kNeedMore; ++i) {
+    const std::size_t end = i < cuts.size() ? cuts[i] : bytes.size();
+    st = p.feed(bytes.data() + at, end - at);
+    at = end;
+  }
+  return {st, p.error_status(), p.request().body, p.request().headers.size()};
+}
+
+/// Every way of feeding `bytes` ends like feeding it whole, and that is
+/// `want` (with `want_error` on kError).
+void expect_split_invariant(const std::string& bytes,
+                            net::HttpParser::Status want, int want_error) {
+  const ParseEnd whole = parse_split(bytes, {});
+  ASSERT_EQ(whole.status, want);
+  if (want == net::HttpParser::Status::kError) {
+    EXPECT_EQ(whole.error_status, want_error);
+  }
+  std::vector<std::vector<std::size_t>> feeds;
+  std::vector<std::size_t> bytewise;
+  for (std::size_t k = 1; k < bytes.size(); ++k) {
+    bytewise.push_back(k);
+    feeds.push_back({k});
+  }
+  feeds.push_back(bytewise);
+  for (const auto& cuts : feeds) {
+    SCOPED_TRACE(cuts.size() == 1 ? "split at " + std::to_string(cuts[0])
+                                  : std::string("byte by byte"));
+    const ParseEnd got = parse_split(bytes, cuts);
+    EXPECT_EQ(got.status, whole.status);
+    EXPECT_EQ(got.error_status, whole.error_status);
+    EXPECT_EQ(got.body, whole.body);
+    EXPECT_EQ(got.headers, whole.headers);
+  }
+}
+
+/// `lines` header (or trailer) field lines of `name: aaa...`, sized so the
+/// whole section, terminating blank line included, is `section` bytes.
+std::string field_section(const std::string& name, std::size_t section,
+                          std::size_t lines) {
+  const std::size_t overhead = name.size() + 2 + 2;  // ": " and CRLF
+  std::string out;
+  std::size_t left = section - 2;  // the blank line
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::size_t len = i + 1 < lines ? left / (lines - i) : left;
+    out += name + ": " + std::string(len - overhead, 'a') + "\r\n";
+    left -= len;
+  }
+  return out + "\r\n";
+}
+
+TEST(HttpParserTest, HeaderSectionCapBoundaries) {
+  const std::string request_line = "GET /v1/health HTTP/1.1\r\n";
+  for (const std::size_t lines : {1u, 2u, 3u}) {
+    for (const std::size_t section : {kCapL - 1, kCapL, kCapL + 1}) {
+      SCOPED_TRACE(std::to_string(lines) + " field lines, " +
+                   std::to_string(section) + "-byte section");
+      // At L + 1 the blank line's CR is the L-th section byte and its LF the
+      // (L + 1)-th: the CRLF straddles the cap.
+      const bool fits = section <= kCapL;
+      expect_split_invariant(
+          request_line + field_section("x-pad", section, lines),
+          fits ? net::HttpParser::Status::kDone
+               : net::HttpParser::Status::kError,
+          431);
+    }
+  }
+  // A field line whose CRLF straddles the cap fails at L + 1 consumed bytes,
+  // before any blank line arrives.
+  std::string line = "x-pad: ";
+  line += std::string(kCapL + 1 - line.size() - 2, 'a') + "\r\n";
+  ASSERT_EQ(line.size(), kCapL + 1);
+  expect_split_invariant(request_line + line + "\r\n",
+                         net::HttpParser::Status::kError, 431);
+}
+
+TEST(HttpParserTest, TrailerSectionCapBoundaries) {
+  const std::string head =
+      "POST /v1/infer HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "3\r\nabc\r\n0\r\n";
+  for (const std::size_t lines : {1u, 2u, 3u}) {
+    for (const std::size_t section : {kCapL - 1, kCapL, kCapL + 1}) {
+      SCOPED_TRACE(std::to_string(lines) + " trailer lines, " +
+                   std::to_string(section) + "-byte section");
+      const bool fits = section <= kCapL;
+      const std::string bytes = head + field_section("x-t", section, lines);
+      expect_split_invariant(bytes,
+                             fits ? net::HttpParser::Status::kDone
+                                  : net::HttpParser::Status::kError,
+                             431);
+      if (fits) {
+        EXPECT_EQ(parse_split(bytes, {}).body, "abc");
+      }
+    }
+  }
+  std::string line = "x-t: ";
+  line += std::string(kCapL + 1 - line.size() - 2, 'a') + "\r\n";
+  ASSERT_EQ(line.size(), kCapL + 1);
+  expect_split_invariant(head + line + "\r\n",
+                         net::HttpParser::Status::kError, 431);
 }
 
 // --- deadlines and overload --------------------------------------------------

@@ -6,12 +6,13 @@
 // depends only on (engine seed, program bytes), never on what ran before or
 // where the run executes. That buys its own determinism tier:
 //
-//   * results are invariant across pipeline stage counts and batch worker
-//     counts, and equal to the serial fresh-engine reference — the
-//     decomposition of a network into engines stops being observable;
-//   * the serving front-ends (PipelineDeployment, BatchRunner, warm
-//     NetworkRunner, InferenceServer) accept stall_probability > 0 instead
-//     of rejecting it at construction;
+//   * results are invariant across batch worker counts and across the pooled
+//     engine a served request leases, and equal to the serial fresh-engine
+//     reference — which engine ran a sample, and what it ran before, stop
+//     being observable;
+//   * the serving front-ends (BatchRunner, warm NetworkRunner,
+//     InferenceServer) accept stall_probability > 0 instead of rejecting it
+//     at construction;
 //   * warm runs keep the relaxed-tier arithmetic identity exactly, because
 //     the skipped WLOAD programs drew from private streams the sample
 //     programs never observe.
@@ -27,7 +28,6 @@
 #include "data/synthetic.h"
 #include "ecnn/batch_runner.h"
 #include "ecnn/runner.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "test_util.h"
@@ -136,47 +136,6 @@ hwsim::ActivityCounters sum(hwsim::ActivityCounters a,
   return a;
 }
 
-TEST(RngStreamsTest, PipelineStageCountInvariance) {
-  // The tier's core promise: sharding the network across 1, 2 or 3 pipelined
-  // stage engines never changes a request's bits, even under randomized
-  // contention stalls — every layer's program draws from its own
-  // content-keyed stream no matter which engine hosts it.
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 3; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 640 + s));
-
-  // Serial fresh-engine reference with the same timing.
-  SneEngine engine(hw, 1u << 20, stream_split_timing());
-  NetworkRunner runner(engine, /*use_wload_stream=*/false);
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    ref.push_back(runner.run(net, in));
-    engine.reset();
-  }
-  {
-    // Stalls actually happen: the same workload without contention finishes
-    // in strictly fewer cycles.
-    SneEngine quiet(hw, 1u << 20);
-    NetworkRunner quiet_runner(quiet, /*use_wload_stream=*/false);
-    ASSERT_GT(ref[0].cycles, quiet_runner.run(net, inputs[0]).cycles);
-  }
-
-  for (const unsigned stages : {1u, 2u, 3u}) {
-    serve::PipelineOptions po;
-    po.stages = stages;
-    po.memory_words = 1u << 20;
-    po.mem_timing = stream_split_timing();
-    po.weight_resident = false;  // strict comparison against the cold ref
-    serve::PipelineDeployment deployment(hw, net, po);
-    const auto results = deployment.run(inputs);
-    ASSERT_EQ(results.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      expect_equivalent(ref[i], results[i]);
-  }
-}
-
 TEST(RngStreamsTest, BatchWorkerCountInvariance) {
   // Same promise for the dataset runner: worker count and engine assignment
   // are unobservable under stream-split stall RNG.
@@ -282,6 +241,14 @@ TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   SneEngine engine(hw, 1u << 20, stream_split_timing());
   NetworkRunner runner(engine, /*use_wload_stream=*/false);
   const NetworkRunStats ref = runner.run(net, in);
+  {
+    // Stalls actually happen: the same workload without contention finishes
+    // in strictly fewer cycles, so the served comparison below is not
+    // vacuous.
+    SneEngine quiet(hw, 1u << 20);
+    NetworkRunner quiet_runner(quiet, /*use_wload_stream=*/false);
+    ASSERT_GT(ref.cycles, quiet_runner.run(net, in).cycles);
+  }
 
   serve::ModelRegistry registry;
   registry.put("m", net);

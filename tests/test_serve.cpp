@@ -3,11 +3,10 @@
 // The serving contract is strict bitwise determinism: a request's
 // NetworkRunStats depends only on (model, input) — never on which pooled
 // engine ran it, what ran on that engine before, the worker/engine count,
-// the submission order, or whether the network was sharded across pipeline
-// stages. Every test here compares served results against the serial
-// fresh-engine reference (BatchRunner::run_one / NetworkRunner) with the
-// same equality the fast-forward suite uses: cycles, every ActivityCounters
-// field, and exact output event sequences.
+// or the submission order. Every test here compares served results against
+// the serial fresh-engine reference (BatchRunner::run_one / NetworkRunner)
+// with the same equality the fast-forward suite uses: cycles, every
+// ActivityCounters field, and exact output event sequences.
 //
 // Also covered: model checkpoints (exact round-trip, corruption rejection),
 // the model registry, and engine reset (a reset engine is indistinguishable
@@ -27,7 +26,6 @@
 #include "ecnn/engine_pool.h"
 #include "ecnn/runner.h"
 #include "serve/checkpoint.h"
-#include "serve/pipeline.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "test_util.h"
@@ -96,7 +94,7 @@ QuantizedLayerSpec fc_layer(std::uint16_t in_ch, std::uint16_t size,
   return l;
 }
 
-/// conv -> pool -> fc chain (the pipeline-sharding workload). The conv's
+/// conv -> pool -> fc chain (the serving workload). The conv's
 /// out_ch fills more than one slice on a 2-slice design point, so rounds
 /// with *concurrent* slice passes — where collector arbitration order is
 /// observable — are part of every test that uses it.
@@ -534,103 +532,6 @@ TEST(ServerTest, RequestFailureSurfacesOnTicketNotServer) {
   EXPECT_EQ(st.completed, 1u);
 }
 
-// --- pipelined sharding ------------------------------------------------------
-
-TEST(PipelineTest, ShardedMatchesSerialAtEveryStageCount) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 6; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 700 + s));
-
-  // Serial reference: one engine, whole network, fresh per sample.
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/false);
-    ref.push_back(runner.run(net, in));
-  }
-
-  for (const unsigned stages : {1u, 2u, 3u}) {
-    serve::PipelineOptions po;
-    po.stages = stages;
-    po.memory_words = 1u << 20;
-    po.weight_resident = false;  // strict tier: reprogram every request
-    serve::PipelineDeployment deployment(hw, net, po);
-    EXPECT_EQ(deployment.stages(), stages);
-    // Contiguous cover of the layer list.
-    std::size_t expect_first = 0;
-    for (const auto& [first, last] : deployment.stage_ranges()) {
-      EXPECT_EQ(first, expect_first);
-      EXPECT_LT(first, last);
-      expect_first = last;
-    }
-    EXPECT_EQ(expect_first, net.layers.size());
-
-    const auto results = deployment.run(inputs);
-    ASSERT_EQ(results.size(), inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      expect_equivalent(ref[i], results[i]);
-  }
-}
-
-TEST(PipelineTest, ConcurrentRequestsStreamThroughStages) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  serve::PipelineOptions po;
-  po.stages = 3;
-  po.queue_capacity = 2;
-  po.memory_words = 1u << 20;
-  po.weight_resident = false;  // strict tier
-  serve::PipelineDeployment deployment(hw, net, po);
-
-  SneEngine engine(hw, 1u << 20);
-  NetworkRunner runner(engine, /*use_wload_stream=*/false);
-
-  std::vector<event::EventStream> inputs;
-  std::vector<serve::Ticket> tickets;
-  for (std::uint64_t s = 0; s < 5; ++s) {
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 800 + s));
-    tickets.push_back(deployment.submit(inputs.back()));
-  }
-  // Wait out of order; each result must still match its own sample.
-  for (std::size_t i = tickets.size(); i-- > 0;)
-    expect_equivalent(runner.run(net, inputs[i]), tickets[i].wait());
-}
-
-TEST(PipelineTest, WloadStreamProgrammingMatchesSerial) {
-  // The streamed WLOAD path runs extra engine.run()s per pass; sharding
-  // must reproduce those bit for bit too.
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 4, 4, 41));
-  net.layers.push_back(pool_layer(4, 16));
-  const SneConfig hw = SneConfig::paper_design_point(1);
-  const auto in = data::random_stream({1, 16, 16, 8}, 0.06, 900);
-
-  SneEngine engine(hw, 1u << 20);
-  NetworkRunner runner(engine, /*use_wload_stream=*/true);
-  const NetworkRunStats ref = runner.run(net, in);
-  ASSERT_GT(ref.total.weight_load_beats, 0u);
-
-  serve::PipelineOptions po;
-  po.stages = 2;
-  po.use_wload_stream = true;
-  po.memory_words = 1u << 20;
-  po.weight_resident = false;  // strict tier
-  serve::PipelineDeployment deployment(hw, net, po);
-  const auto results = deployment.run({in});
-  ASSERT_EQ(results.size(), 1u);
-  expect_equivalent(ref, results[0]);
-}
-
-TEST(PipelineTest, RejectsRandomizedMemoryTiming) {
-  serve::PipelineOptions po;
-  po.mem_timing.stall_probability = 0.1;
-  EXPECT_THROW(serve::PipelineDeployment(SneConfig::paper_design_point(2),
-                                         three_layer_net(), po),
-               ConfigError);
-}
-
 // --- weight-resident (warm) serving ------------------------------------------
 //
 // The relaxed equality tier: a warm run's outputs, spikes and
@@ -850,78 +751,6 @@ TEST(ServerTest, WarmServingEliminatesWloadStreamingSteadyState) {
   const serve::ServerStats st = server.stats();
   EXPECT_EQ(st.passes_warm,
             st.passes_total - ref[0].passes_total);  // all but request 0
-}
-
-TEST(PipelineTest, WarmStagesObeyRelaxedTierAtEveryStageCount) {
-  const QuantizedNetwork net = three_layer_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 5; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 10}, 0.08, 720 + s));
-
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/false);
-    ref.push_back(runner.run(net, in));
-  }
-
-  for (const unsigned stages : {1u, 2u, 3u}) {
-    for (const std::uint16_t warmup : {std::uint16_t{0}, std::uint16_t{10}}) {
-      serve::PipelineOptions po;  // weight_resident defaults on
-      po.stages = stages;
-      po.memory_words = 1u << 20;
-      po.warmup_timesteps = warmup;  // 10 == the inputs' timestep count
-      serve::PipelineDeployment deployment(hw, net, po);
-      const auto results = deployment.run(inputs);
-      ASSERT_EQ(results.size(), inputs.size());
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        expect_warm_equivalent(ref[i], results[i]);
-      if (stages == 3) {
-        // One single-round layer per stage: once programmed (request 0, or
-        // deploy time with eager warmup) every request is fully resident.
-        const auto& last = results.back();
-        EXPECT_EQ(last.passes_warm, last.passes_total);
-        EXPECT_TRUE(last.programming == hwsim::ActivityCounters{});
-        if (warmup > 0) {
-          EXPECT_EQ(results.front().passes_warm, results.front().passes_total)
-              << "deploy-time warmup must cover the first request";
-        }
-      }
-    }
-  }
-}
-
-TEST(PipelineTest, WarmWloadStagesMatchRelaxedTier) {
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 4, 4, 41));
-  net.layers.push_back(pool_layer(4, 16));
-  const SneConfig hw = SneConfig::paper_design_point(1);
-  std::vector<event::EventStream> inputs;
-  for (std::uint64_t s = 0; s < 3; ++s)
-    inputs.push_back(data::random_stream({1, 16, 16, 8}, 0.06, 930 + s));
-
-  std::vector<NetworkRunStats> ref;
-  for (const auto& in : inputs) {
-    SneEngine engine(hw, 1u << 20);
-    NetworkRunner runner(engine, /*use_wload_stream=*/true);
-    ref.push_back(runner.run(net, in));
-  }
-  ASSERT_GT(ref[0].programming.weight_load_beats, 0u);
-
-  serve::PipelineOptions po;
-  po.stages = 2;
-  po.use_wload_stream = true;
-  po.memory_words = 1u << 20;
-  po.warmup_timesteps = 8;
-  serve::PipelineDeployment deployment(hw, net, po);
-  const auto results = deployment.run(inputs);
-  ASSERT_EQ(results.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    expect_warm_equivalent(ref[i], results[i]);
-    EXPECT_EQ(results[i].passes_warm, results[i].passes_total)
-        << "request " << i;
-  }
 }
 
 TEST(RegistryTest, RepointUnderLoadKeepsServingTheResolvedSnapshot) {
