@@ -52,6 +52,7 @@ void attach_profile_counters(benchmark::State& state,
   state.counters["prof_burst"] = c(p.burst_cycles);
   state.counters["prof_bulk_replay"] = c(p.bulk_replay_cycles);
   state.counters["prof_steady"] = c(p.steady_cycles);
+  state.counters["prof_update_stream"] = c(p.update_stream_cycles);
   state.counters["prof_drain_spans"] = c(p.drain_spans);
 }
 
@@ -368,6 +369,13 @@ void BM_GestureNetwork(benchmark::State& state) {
   state.counters["host_ns_per_event"] = benchmark::Counter(
       static_cast<double>(events) * 1e-9,
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  // Untimed profiled repeat — same rationale as BM_DenseSpikingLayer: the
+  // mode split shows how much of the network's time-multiplexed input the
+  // UPDATE span streams.
+  {
+    obs::ScopedProfiling profiling;
+    attach_profile_counters(state, runner.run(net, in).profile);
+  }
 }
 BENCHMARK(BM_GestureNetwork)->Unit(benchmark::kMillisecond);
 

@@ -200,8 +200,8 @@ def main():
             lines.append(f"| `{name}` | {fmt(b)} | {fmt(c)} | {r} |")
 
     # Replay-profile mode split (current run only, warn-only): the drain
-    # benches attach prof_* counters from one profiled, untimed repeat —
-    # where the batched drain engine actually spends its simulated cycles.
+    # benches and BM_GestureNetwork attach prof_* counters from one
+    # profiled, untimed repeat — which engine machine retires the cycles.
     # Informational: cycle attribution is bit-deterministic, so drift here
     # means the workload or the engine changed, not the host.
     prof_keys = [("prof_dead_jump", "dead-jump"),
@@ -209,7 +209,8 @@ def main():
                  ("prof_percycle", "per-cycle"),
                  ("prof_burst", "burst"),
                  ("prof_bulk_replay", "bulk-replay"),
-                 ("prof_steady", "steady")]
+                 ("prof_steady", "steady"),
+                 ("prof_update_stream", "update-stream")]
     prof_rows = []
     for b in current.get("benchmarks", []):
         if b.get("run_type") == "aggregate":

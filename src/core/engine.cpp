@@ -147,6 +147,14 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
          << " cycles; counters: " << c;
       throw ContractViolation(os.str());
     }
+    // Time-multiplexed input streaming into idle or UPDATE-sweeping slices
+    // advances one input beat at a time instead of one cycle at a time.
+    if (fast && s.update_regime && !s.out_dma_pending && pipe_routes_.empty()) {
+      if (update_span(c, opts.max_cycles) > 0) {
+        s = scan_state();
+        continue;
+      }
+    }
     // Drain-dominated spans (spikes flowing through the collector/DMA
     // chain) replay through the batched drain engine.
     if (drain_fast && (s.out_dma_pending || s.any_slice_out || s.any_drain)) {
@@ -250,6 +258,7 @@ SneEngine::ScanState SneEngine::scan_state() const {
     if (sl.busy()) s.any_slice_busy = true;
     if (!sl.out_fifo().empty()) s.any_slice_out = true;
     if (sl.draining()) s.any_drain = true;
+    if (!sl.in_update_regime()) s.update_regime = false;
   }
   for (const auto& dma : out_dmas_)
     if (!dma.fifo().empty()) {
@@ -844,6 +853,228 @@ std::uint64_t SneEngine::drain_bulk_span(hwsim::ActivityCounters& c,
       prof_->slice_busy[static_cast<std::size_t>(std::countr_zero(m))] += span;
   }
   return span;
+}
+
+std::uint64_t SneEngine::update_span(hwsim::ActivityCounters& c,
+                                     std::uint64_t max_cycles) {
+  const std::vector<std::uint32_t>& dests = routes_.input_dest;
+  const std::uint64_t c0 = c.cycles;
+  if (c0 >= max_cycles) return 0;
+  std::uint64_t dest_mask = 0;
+  for (const auto d : dests) dest_mask |= 1ull << d;
+  if (static_cast<std::size_t>(std::popcount(dest_mask)) != dests.size())
+    return 0;  // a slice listed twice takes two pushes per broadcast
+  for (const auto i : live_)
+    if (!(dest_mask >> i & 1) && !slices_[i].in_fifo().empty()) return 0;
+
+  // Beats are named by program position: the input DMA has fetched
+  // [0, fetched0) and broadcast [0, bcast0) of [0, total), and each
+  // destination's input FIFO holds [first, bcast0).
+  const std::size_t fetched0 = in_dma_.cursor();
+  const std::size_t total = fetched0 + in_dma_.remaining();
+  const std::size_t bcast0 = fetched0 - in_dma_.fifo().size();
+  const std::size_t base = in_dma_.base();
+  std::size_t lo = bcast0;
+  span_lanes_.resize(dests.size());
+  for (std::size_t k = 0; k < dests.size(); ++k) {
+    SpanLane& ln = span_lanes_[k];
+    const Slice& sl = slices_[dests[k]];
+    ln.slice = dests[k];
+    ln.first = bcast0 - sl.in_fifo().size();
+    // A sweep counting down retires in cycle c0 + countdown - 1, and its
+    // decoder accepts the next beat in that same cycle.
+    ln.warm = sl.countdown() > 0;
+    ln.ready = ln.warm ? c0 + sl.countdown() - 1 : c0;
+    ln.sweep_end = ln.ready;
+    ln.stopped = false;
+    ln.decodes.clear();
+    lo = std::min(lo, ln.first);
+  }
+  if (lo == total) return 0;  // input consumed; jumps retire the sweeps
+
+  // --- schedule: one step per beat ------------------------------------------
+  // Every time depends only on earlier beats (the DMA FIFO frees beat
+  // g - dma_depth's slot, a slice FIFO beat g - in_depth's), so one pass in
+  // program order resolves them all. Decode outcomes (dropped or the sweep
+  // length) are pass constants of the event, independent of neuron state.
+  const std::size_t in_depth = cfg_.slice_in_fifo_depth;
+  const std::size_t dma_depth = cfg_.dma_fifo_depth;
+  std::uint64_t end = max_cycles;  // exclusive; drops to a non-UPDATE decode
+  bool cut = false;  // some scheduled action fell at or past `end`
+  std::size_t open_lanes = span_lanes_.size();  // lanes that may decode more
+  std::uint64_t last = c0;  // one past the last scheduled action
+  std::uint64_t fetch_at = c0 + std::max<std::uint32_t>(in_dma_.wait(), 1) - 1;
+  std::uint64_t bcast_at = c0;
+  bool bcast_open = true;
+  span_fetch_.clear();
+  span_bcast_.clear();
+  span_words_.clear();  // beats [lo, g], read once
+  for (std::size_t g = lo; g < total; ++g) {
+    span_words_.push_back(mem_.read_word(base + g));
+    if (g >= fetched0) {
+      // Fetch: once the latency has run out and beat g - dma_depth has left
+      // the DMA FIFO (the crossbar pops before the DMA pushes in a cycle).
+      // Every fetch scheduled here precedes `end` even after it drops to a
+      // later beat's decode, so the latency draw is taken right away, in
+      // the order tick() would take it.
+      std::uint64_t f = fetch_at;
+      if (g >= bcast0 + dma_depth) {
+        const std::size_t j = g - dma_depth - bcast0;
+        f = j < span_bcast_.size() ? std::max(f, span_bcast_[j]) : kNeverActive;
+      }
+      if (f >= end) {
+        cut = true;
+        break;
+      }
+      span_fetch_.push_back(f);
+      fetch_at = f + in_dma_.retire_fetch(c);
+      last = std::max(last, f + 1);
+    }
+    std::uint64_t avail = c0;  // earliest decode cycle of beat g
+    if (g >= bcast0) {
+      if (!bcast_open) continue;
+      // Broadcast: one beat per cycle, the cycle after its fetch at the
+      // earliest, once every destination has decoded beat g - in_depth
+      // (slices pop before the crossbar pushes in a cycle).
+      std::uint64_t b =
+          std::max(bcast_at, g >= fetched0 ? span_fetch_.back() + 1 : c0);
+      for (const SpanLane& ln : span_lanes_) {
+        if (g < ln.first + in_depth) continue;
+        const std::size_t j = g - in_depth - ln.first;
+        b = j < ln.decodes.size() ? std::max(b, ln.decodes[j].at)
+                                  : kNeverActive;
+      }
+      if (b >= end) {
+        bcast_open = false;
+        cut = true;
+        continue;
+      }
+      span_bcast_.push_back(b);
+      bcast_at = b + 1;
+      last = std::max(last, b + 1);
+      avail = b + 1;
+    }
+    if (open_lanes == 0) continue;
+    // Decodes. Lanes sit at different beats (each slice drains its own
+    // FIFO), so a lane stops at its first non-UPDATE beat or at `end`, and
+    // `end` drops to the earliest non-UPDATE decode. Fetches, broadcasts and
+    // decodes scheduled so far all precede that decode's beat in program
+    // order, hence in time; later decodes the drop overtakes are discarded
+    // at commit.
+    const event::Event e = event::unpack(span_words_.back());
+    for (SpanLane& ln : span_lanes_) {
+      if (ln.stopped || g < ln.first) continue;
+      const std::uint64_t d = std::max(avail, ln.ready);
+      if (d >= end || e.op != event::Op::kUpdate) {
+        if (d < end) end = d;  // the generic loop decodes this beat
+        ln.stopped = true;
+        --open_lanes;
+        cut = true;
+        continue;
+      }
+      const std::uint64_t len = slices_[ln.slice].update_cycles(e);
+      ln.decodes.push_back({d, len, !(ln.warm && d == ln.ready)});
+      ln.ready = len > 0 ? d + len : d + 1;
+      ln.warm = len > 0;
+      last = std::max(last, d + 1);
+    }
+  }
+  const std::uint64_t span_end = cut ? end : last;
+  if (span_end <= c0) return 0;  // nothing was scheduled before `end`
+
+  // --- commit -----------------------------------------------------------------
+  const auto words = [&](std::size_t g) { return span_words_.data() + (g - lo); };
+  const std::size_t nf = span_fetch_.size();
+  const std::size_t nb = span_bcast_.size();
+  {
+    // Input DMA FIFO: a push per fetch, a pop per broadcast; occupancy
+    // peaks right after a push.
+    std::size_t peak = 0;
+    std::size_t popped = 0;
+    for (std::size_t i = 0; i < nf; ++i) {
+      while (popped < nb && span_bcast_[popped] <= span_fetch_[i]) ++popped;
+      peak = std::max(peak, fetched0 + i + 1 - (bcast0 + popped));
+    }
+    in_dma_.fifo().reconcile_bulk(nf, nb, peak, words(bcast0 + nb),
+                                  fetched0 + nf - (bcast0 + nb));
+    in_dma_.span_elapse(span_end - (nf > 0 ? span_fetch_.back() + 1 : c0));
+  }
+  c.fifo_pops += nb;
+  c.fifo_pushes += nb * dests.size();
+  c.xbar_beats += nb;
+  if (dests.size() > 1) c.xbar_broadcast_beats += nb;
+
+  // Per lane, one pass over the beats its FIFO held: commit the decodes in
+  // order, track the FIFO's peak (right after each broadcast push; the
+  // slice pops earlier in the cycle) and its busy intervals. Beat g keeps a
+  // destination busy from its broadcast (c0 if queued earlier) until its
+  // sweep retires — until its decode if dropped, to the span end if still
+  // queued. span_end_ keeps each beat's latest end over the destinations.
+  const std::size_t held_end = bcast0 + nb;  // beats [lo, held_end) queued
+  span_end_.assign(held_end - lo, c0);
+  std::uint64_t cover = c0;  // the run's busy set is covered up to here
+  for (SpanLane& ln : span_lanes_) {
+    Slice& sl = slices_[ln.slice];
+    std::size_t n = 0;
+    while (n < ln.decodes.size() && ln.decodes[n].at < span_end) ++n;
+    const std::uint64_t sweep_end = std::min(ln.sweep_end, span_end);
+    cover = std::max(cover, sweep_end);
+    std::uint64_t lane_cover = sweep_end;
+    std::uint64_t lane_busy = sweep_end - c0;
+    std::size_t peak = 0;
+    std::size_t popped = 0;
+    for (std::size_t g = ln.first; g < held_end; ++g) {
+      const std::size_t k = g - ln.first;
+      std::uint64_t e = span_end;
+      if (k < n) {
+        const SpanDecode& d = ln.decodes[k];
+        if (d.cold) c.slice_busy_cycles++;
+        c.fifo_pops++;
+        const std::uint64_t len = sl.span_decode(*words(g), c);
+        SNE_ASSERT(len == d.len);
+        e = std::min(d.at + len, span_end);
+      }
+      std::uint64_t& slot = span_end_[g - lo];
+      slot = std::max(slot, e);
+      std::uint64_t s = c0;
+      if (g >= bcast0) {
+        s = span_bcast_[g - bcast0];
+        while (popped < n && ln.decodes[popped].at <= s) ++popped;
+        peak = std::max(peak, g + 1 - (ln.first + popped));
+      }
+      if (e > lane_cover) {
+        lane_busy += e - std::max(s, lane_cover);
+        lane_cover = e;
+      }
+    }
+    sl.in_fifo().reconcile_bulk(nb, n, peak, words(ln.first + n),
+                                held_end - (ln.first + n));
+    sl.span_advance(span_end - (n > 0 ? ln.decodes[n - 1].at + 1 : c0));
+    if (prof_) prof_->slice_busy[ln.slice] += lane_busy;
+  }
+  for (const auto i : live_) {
+    if (dest_mask >> i & 1) continue;
+    Slice& sl = slices_[i];
+    if (sl.countdown() == 0) continue;
+    const std::uint64_t sweep_end =
+        std::min(c0 + sl.countdown() - 1, span_end);
+    cover = std::max(cover, sweep_end);
+    if (prof_) prof_->slice_busy[i] += sweep_end - c0;
+    sl.span_advance(span_end - c0);
+  }
+  std::uint64_t busy = cover - c0;
+  for (std::size_t i = 0; i < held_end - lo; ++i) {
+    const std::size_t g = lo + i;
+    const std::uint64_t s = g < bcast0 ? c0 : span_bcast_[g - bcast0];
+    if (span_end_[i] > cover) {
+      busy += span_end_[i] - std::max(s, cover);
+      cover = span_end_[i];
+    }
+  }
+  c.idle_cycles += span_end - c0 - busy;
+  c.cycles = span_end;
+  if (prof_) prof_->update_stream_cycles += span_end - c0;
+  return span_end - c0;
 }
 
 void SneEngine::collector_tick(hwsim::ActivityCounters& c) {

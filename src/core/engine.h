@@ -201,6 +201,8 @@ class SneEngine {
     bool any_drain = false;        ///< some slice holds spikes / FIRE / DRAIN
     bool out_dma_pending = false;  ///< some output DMA FIFO is nonempty
     bool in_drained = false;       ///< input DMA done and its FIFO empty
+    /// Every live slice is in the UPDATE regime (Slice::in_update_regime).
+    bool update_regime = true;
     bool quiescent() const {
       return in_drained && !any_slice_busy && !any_slice_out &&
              !out_dma_pending;
@@ -252,6 +254,22 @@ class SneEngine {
   std::uint64_t drain_bulk_span(hwsim::ActivityCounters& c,
                                 std::uint64_t max_cycles);
 
+  // --- UPDATE span ----------------------------------------------------------
+  /// Replays time-multiplexed input streaming while every live slice is in
+  /// the UPDATE regime and the output DMAs are empty: instead of ticking
+  /// cycle by cycle it steps one input beat at a time, computing the beat's
+  /// input-DMA fetch cycle, broadcast cycle and each destination slice's
+  /// decode cycle from a count recurrence (DMA FIFO depth and latency
+  /// draws, slice in-FIFO depth, the all-destinations-have-space broadcast
+  /// rule, same-cycle retire/accept, the cold-decode cycle). The decodes
+  /// then run through Slice::span_decode (decode + batch_update, the path
+  /// tick() takes) and FIFO statistics, idle and busy cycles are reconciled
+  /// in bulk. The span ends before any slice would decode a non-UPDATE
+  /// beat, at `max_cycles`, or when the input runs out. Returns the cycles
+  /// retired (0 = nothing to replay). Time-multiplexed routing only.
+  std::uint64_t update_span(hwsim::ActivityCounters& c,
+                            std::uint64_t max_cycles);
+
   SneConfig cfg_;
   hwsim::MemoryModel mem_;
   std::vector<Slice> slices_;  ///< by value: hot loops stay cache-local
@@ -297,6 +315,28 @@ class SneEngine {
   };
   std::vector<DrainParticipant> drain_parts_;
   std::vector<DmaReplay> drain_dmas_;
+
+  /// Reusable scratch of update_span, rebuilt at every span entry (no state
+  /// survives from one span to the next).
+  struct SpanDecode {
+    std::uint64_t at = 0;   ///< decode cycle
+    std::uint64_t len = 0;  ///< sweep countdown it starts (0 = dropped)
+    bool cold = false;      ///< decoded from idle: charges its own cycle
+  };
+  struct SpanLane {  ///< one destination slice
+    std::uint32_t slice = 0;
+    std::size_t first = 0;     ///< beat index of its first decode in span
+    std::uint64_t ready = 0;   ///< earliest cycle its decoder accepts a beat
+    bool warm = false;         ///< `ready` retires a sweep (no cold charge)
+    std::uint64_t sweep_end = 0;  ///< the span-start sweep keeps it busy until
+    bool stopped = false;      ///< its next decode lies past the span
+    std::vector<SpanDecode> decodes;  ///< beats first, first + 1, ...
+  };
+  std::vector<SpanLane> span_lanes_;
+  std::vector<std::uint64_t> span_fetch_;  ///< fetch cycle per fetched beat
+  std::vector<std::uint64_t> span_bcast_;  ///< cycle per broadcast beat
+  std::vector<std::uint64_t> span_end_;    ///< per beat: last busy cycle + 1
+  std::vector<event::Beat> span_words_;    ///< FIFO survivors
 
   /// Points at the active run's profile while obs::profiling_enabled(),
   /// else null; the drain engine attributes its cycles through it.

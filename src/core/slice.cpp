@@ -8,6 +8,7 @@ namespace sne::core {
 Slice::Slice(std::uint32_t slice_id, const SneConfig& hw)
     : id_(slice_id),
       hw_(&hw),
+      tile_height_(hw.cluster_tile_height()),
       sequencer_(hw),
       weights_(hw.weight_sets, hw.weights_per_set),
       in_fifo_(hw.slice_in_fifo_depth),
@@ -86,6 +87,7 @@ void Slice::build_event_filter() {
   enabled_mask_ = 0;
   for (std::size_t i = 0; i < clusters_.size(); ++i)
     if (clusters_[i].map.enabled) enabled_mask_ |= 1ull << i;
+  enabled_count_ = static_cast<std::uint64_t>(std::popcount(enabled_mask_));
   col_filter_.clear();
   row_filter_.clear();
   chan_filter_.clear();
@@ -210,6 +212,7 @@ void Slice::scrub_programming() {
   cluster_mapped_.clear();
   mapped_total_ = 0;
   enabled_mask_ = 0;
+  enabled_count_ = 0;
   col_filter_.clear();
   row_filter_.clear();
   chan_filter_.clear();
@@ -335,7 +338,8 @@ void Slice::tick_update(hwsim::ActivityCounters& c) {
   // paper's double-buffered latch memories achieve one update per cycle.
   if (!hw_->double_buffered_state && !write_phase_) {
     write_phase_ = true;
-    charge_filter_cycles(c, 1);
+    charge_filter_cycles(c, 1,
+                         static_cast<std::uint64_t>(std::popcount(ev_mask_)));
     return;
   }
   write_phase_ = false;
@@ -697,28 +701,15 @@ void Slice::drain_replay_commit(DrainReplay& r) {
 }
 
 bool Slice::compute_event_filter(const event::Event& e) {
-  // A few table loads and an AND: the per-cluster tile tests were folded
-  // into the pass-constant masks at configure time.
-  ev_mask_ = 0;
-  if (e.ch >= cfg_.in_channels || e.x >= cfg_.in_width ||
-      e.y >= cfg_.in_height)
-    return false;
+  ev_mask_ = event_mask(e);
+  if (ev_mask_ == 0) return false;
   if (cfg_.kind == LayerKind::kFc) {
-    // Positions below the pass base wrap to huge unsigned offsets.
-    const std::uint32_t local =
-        cfg_.fc_flat_index(e.ch, e.x, e.y) - cfg_.fc_pass_base;
-    if (local >= cfg_.fc_pass_positions) return false;
-    ev_fc_local_ = local;
-    ev_mask_ = enabled_mask_;
-    return ev_mask_ != 0;
+    ev_fc_local_ = cfg_.fc_flat_index(e.ch, e.x, e.y) - cfg_.fc_pass_base;
+  } else {
+    ev_ox_ = col_filter_[e.x].iv;
+    ev_oy_ = row_filter_[e.y].iv;
   }
-  const AxisFilter& col = col_filter_[e.x];
-  const AxisFilter& row = row_filter_[e.y];
-  ev_ox_ = col.iv;
-  ev_oy_ = row.iv;
-  ev_mask_ = col.mask & row.mask;
-  if (cfg_.depthwise) ev_mask_ &= chan_filter_[e.ch];
-  return ev_mask_ != 0;
+  return true;
 }
 
 void Slice::batch_execute(hwsim::ActivityCounters& c) {
@@ -746,8 +737,6 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
   const std::uint64_t per_slot = hw_->double_buffered_state ? 1 : 2;
   const std::uint64_t cycles = slots * per_slot;
 
-  charge_filter_cycles(c, cycles);
-
   // Integrations. The per-cycle handler visits (slot, cluster) pairs in
   // schedule order and integrates exactly the pairs whose neuron lies in the
   // event's receptive field; each neuron is touched at most once and neurons
@@ -757,15 +746,17 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
   // directly instead of scanning the padded sweep.
   //
   // Pass constants are read into locals once: the loops below store
-  // through neuron pointers, which would otherwise force reloads. The armed
-  // bit is set with a select, not a branch: whether an integrate crosses
-  // the threshold is data-dependent.
+  // through neuron pointers, which would otherwise force reloads. The leak
+  // and the armed bit are computed with selects, not branches: the membrane
+  // sign, the steps since the last touch and whether an integrate crosses
+  // the threshold are all data-dependent.
   std::uint64_t updates = 0;
+  std::uint64_t accepted = 0;  // clusters in ev_mask_, counted by the loops
   const neuron::LifParams lif = cfg_.lif;
   const std::uint32_t t = current_.t;
   const auto integrate = [&](Cluster& cl, std::size_t slot, std::int32_t w) {
     neuron::LifNeuron& n = cl.neurons[slot];
-    n.integrate(t, w, lif);
+    n.integrate_select(t, w, lif);
     cl.armed[slot >> 6] |= static_cast<std::uint64_t>(n.membrane() > lif.v_th)
                            << (slot & 63);
     ++updates;
@@ -782,6 +773,7 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
             ? weights_.set_span(ev_fc_local_, fc_total_outputs())
             : nullptr;
     for (std::uint64_t m = ev_mask_; m != 0; m &= m - 1) {
+      ++accepted;
       const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
       Cluster& cl = clusters_[i];
       const auto& mapped = cluster_mapped_[i];
@@ -803,7 +795,7 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
     }
   } else {
     const int tile_w = static_cast<int>(hw_->cluster_tile_width);
-    const int tile_h = static_cast<int>(hw_->cluster_tile_height());
+    const int tile_h = static_cast<int>(tile_height_);
     const int kernel_w = cfg_.kernel_w;
     const int stride = cfg_.stride;
     const int ex = current_.x + cfg_.pad;
@@ -811,6 +803,7 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
     const std::uint32_t taps =
         static_cast<std::uint32_t>(cfg_.kernel_w) * cfg_.kernel_h;
     for (std::uint64_t m = ev_mask_; m != 0; m &= m - 1) {
+      ++accepted;
       Cluster& cl = clusters_[static_cast<std::size_t>(std::countr_zero(m))];
       const int x_lo = std::max(ev_ox_.lo, static_cast<int>(cl.map.x_base));
       const int x_hi =
@@ -843,6 +836,7 @@ void Slice::batch_update(hwsim::ActivityCounters& c) {
   c.neuron_updates += updates;
   c.state_reads += updates;
   c.state_writes += updates;
+  charge_filter_cycles(c, cycles, accepted);
 
   c.slice_busy_cycles += cycles;
   countdown_ = cycles;

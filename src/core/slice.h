@@ -342,6 +342,57 @@ class Slice {
   /// reconciled by the engine (it owns the grant side).
   void drain_replay_commit(DrainReplay& r);
 
+  // --- UPDATE span support -------------------------------------------------
+  // The engine's UPDATE span replays time-multiplexed input streaming one
+  // beat at a time while every live slice sits in the UPDATE regime below;
+  // it computes each decode cycle from update_cycles() and then runs the
+  // decodes through span_decode(), the same decode + batch_update path
+  // tick() takes.
+
+  /// Idle, or counting down a batch-executed UPDATE sweep, with no spike
+  /// queued in the cluster or output FIFOs.
+  bool in_update_regime() const {
+    return cluster_pending_ == 0 && out_fifo_.empty() &&
+           (state_ == State::kIdle ? countdown_ == 0
+                                   : state_ == State::kUpdate && countdown_ > 0);
+  }
+
+  /// Cycles the UPDATE event `e` would occupy this slice after its decode
+  /// (the batch sweep's countdown), or 0 when the decoder drops it (address
+  /// filter, empty sweep). Pure; fast-forward configurations only.
+  std::uint64_t update_cycles(const event::Event& e) const {
+    if (event_mask(e) == 0) return 0;
+    return std::uint64_t{update_len_lut_[e.y]} *
+           (hw_->double_buffered_state ? 1 : 2);
+  }
+
+  /// Decodes `beat`, which the engine has already taken off the input FIFO,
+  /// exactly as tick() does in the cycle the previous sweep retires (or from
+  /// idle): decode() + batch_execute(). Returns the new sweep countdown
+  /// (0 = dropped). The caller charges the FIFO pop and any cold-decode
+  /// cycle.
+  std::uint64_t span_decode(event::Beat beat, hwsim::ActivityCounters& c) {
+    countdown_ = 0;  // the span proved the previous sweep has retired
+    state_ = State::kIdle;
+    decode(event::unpack(beat), c);
+    if (state_ != State::kIdle) batch_execute(c);
+    return countdown_;
+  }
+
+  /// Lets `cycles` ticks of an UPDATE countdown pass, retiring the sweep to
+  /// idle when it runs out (skip_cycles for spans whose decode cycles are
+  /// already accounted).
+  void span_advance(std::uint64_t cycles) {
+    if (countdown_ == 0) return;
+    SNE_ASSERT(post_state_ == State::kIdle);
+    if (cycles < countdown_) {
+      countdown_ -= cycles;
+      return;
+    }
+    countdown_ = 0;
+    state_ = State::kIdle;
+  }
+
   /// Cycles until this slice's next self-timed observable action: the
   /// remaining occupancy of a pre-executed sweep, 1 while anything is in
   /// flight, kNeverActive when idle with empty FIFOs (it only wakes when the
@@ -474,15 +525,33 @@ class Slice {
   /// column, row (and, depthwise, channel) masks; FC events accept every
   /// enabled cluster when the event's flat position lies in the pass.
   bool compute_event_filter(const event::Event& e);
+  /// The clusters compute_event_filter() accepts for `e` (0 = dropped),
+  /// without touching the decode scratch: a few table loads and an AND (the
+  /// per-cluster tile tests were folded into the pass-constant masks at
+  /// configure time).
+  std::uint64_t event_mask(const event::Event& e) const {
+    if (e.ch >= cfg_.in_channels || e.x >= cfg_.in_width ||
+        e.y >= cfg_.in_height)
+      return 0;
+    if (cfg_.kind == LayerKind::kFc) {
+      // Positions below the pass base wrap to huge unsigned offsets.
+      const std::uint32_t local =
+          cfg_.fc_flat_index(e.ch, e.x, e.y) - cfg_.fc_pass_base;
+      return local < cfg_.fc_pass_positions ? enabled_mask_ : 0;
+    }
+    std::uint64_t mask = col_filter_[e.x].mask & row_filter_[e.y].mask;
+    if (cfg_.depthwise) mask &= chan_filter_[e.ch];
+    return mask;
+  }
 
-  /// Charges `cycles` UPDATE cycles of cluster activity: accepted clusters
-  /// are active, the other enabled clusters are clock-gated (or burn
-  /// datapath power doing nothing when gating is off).
-  void charge_filter_cycles(hwsim::ActivityCounters& c,
-                            std::uint64_t cycles) const {
-    const auto accepted = static_cast<std::uint64_t>(std::popcount(ev_mask_));
-    const auto filtered =
-        static_cast<std::uint64_t>(std::popcount(enabled_mask_)) - accepted;
+  /// Charges `cycles` UPDATE cycles of cluster activity: the `accepted`
+  /// clusters (those in ev_mask_) are active, the other enabled clusters are
+  /// clock-gated (or burn datapath power doing nothing when gating is off).
+  /// Callers pass the count: without a popcount instruction in the target
+  /// flags std::popcount is a library call, too slow for once per event.
+  void charge_filter_cycles(hwsim::ActivityCounters& c, std::uint64_t cycles,
+                            std::uint64_t accepted) const {
+    const std::uint64_t filtered = enabled_count_ - accepted;
     c.active_cluster_cycles += accepted * cycles;
     if (hw_->clock_gating)
       c.gated_cluster_cycles += filtered * cycles;
@@ -526,6 +595,8 @@ class Slice {
 
   std::uint32_t id_;
   const SneConfig* hw_;
+  /// hw_->cluster_tile_height(), kept out of the per-event division.
+  std::uint32_t tile_height_;
   SliceConfig cfg_;
   bool configured_ = false;
 
@@ -577,6 +648,7 @@ class Slice {
   /// channel (output channel oc listens to input channel oc only).
   std::vector<std::uint64_t> chan_filter_;
   std::uint64_t enabled_mask_ = 0;  ///< clusters with map.enabled (pass)
+  std::uint64_t enabled_count_ = 0;  ///< popcount of enabled_mask_
   /// Per-TDM-slot bitmask of clusters whose slot addresses a real neuron
   /// (bit i = cluster i); a pass constant built at configure time.
   std::vector<std::uint64_t> mapped_mask_;

@@ -58,14 +58,23 @@ class InputStreamer {
       return;
     }
     if (fifo_.full()) return;  // backpressure: hold the burst
-    const event::Beat b = mem_->read_word(base_ + cursor_);
-    const bool ok = fifo_.try_push(b);
+    const bool ok = fifo_.try_push(mem_->read_word(base_ + cursor_));
     SNE_ASSERT(ok);
+    retire_fetch(c);
+  }
+
+  /// The bookkeeping of one fetch: counters, cursor and the next word's
+  /// latency draw. tick() calls it after pushing the word; the engine's
+  /// UPDATE span calls it at each fetch it schedules and reconciles the
+  /// FIFO in bulk. Returns the drawn latency (0 after the last word).
+  std::uint32_t retire_fetch(hwsim::ActivityCounters& c) {
+    SNE_EXPECTS(remaining_ > 0);
     c.fifo_pushes++;
     c.dma_read_beats++;
     ++cursor_;
     --remaining_;
     wait_ = remaining_ > 0 ? mem_->next_word_delay(/*first_of_burst=*/false) : 0;
+    return wait_;
   }
 
   /// Cycles until this streamer's next self-timed observable action (a word
@@ -86,6 +95,21 @@ class InputStreamer {
     if (remaining_ == 0 || wait_ <= 1) return;
     SNE_ASSERT(cycles <= wait_ - 1);
     wait_ -= static_cast<std::uint32_t>(cycles);
+  }
+
+  // --- UPDATE span support (SneEngine::update_span) --------------------------
+  std::size_t base() const { return base_; }
+  /// Words fetched so far (the next fetch reads base() + cursor()).
+  std::size_t cursor() const { return cursor_; }
+  std::size_t remaining() const { return remaining_; }
+  /// Latency countdown: the next fetch can land wait() - 1 cycles from now.
+  std::uint32_t wait() const { return wait_; }
+
+  /// Lets `cycles` ticks pass with no fetch: the latency countdown runs down
+  /// to 1, where a fetch blocked on a full FIFO waits.
+  void span_elapse(std::uint64_t cycles) {
+    if (remaining_ == 0) return;
+    wait_ = wait_ > cycles ? wait_ - static_cast<std::uint32_t>(cycles) : 1;
   }
 
  private:

@@ -141,19 +141,33 @@ class EventStream {
   EventStream with_control_events(
       FirePolicy policy = FirePolicy::kActiveStepsOnly,
       bool initial_reset = true) const {
-    EventStream out(geom_);
-    out.reserve(events_.size() + geom_.timesteps + 1);
-    if (initial_reset) out.events_.push_back(Event::reset(0));
-    std::vector<bool> active(geom_.timesteps, false);
+    // One linear bucket pass, no sort: [RST], then per timestep its UPDATEs
+    // in input order followed by its FIRE — exactly the stable (t, op)
+    // normal form, for unsorted input too.
+    const std::size_t steps = geom_.timesteps;
+    std::vector<std::uint32_t> count(steps, 0);
     for (const Event& e : events_)
       if (e.op == Op::kUpdate) {
-        out.events_.push_back(e);
-        active[e.t] = true;
+        SNE_EXPECTS(e.t < steps);
+        ++count[e.t];
       }
-    for (std::uint16_t t = 0; t < geom_.timesteps; ++t)
-      if (policy == FirePolicy::kEveryStep || active[t])
-        out.events_.push_back(Event::fire(t));
-    out.normalize();
+    const auto fires = [&](std::size_t t) {
+      return policy == FirePolicy::kEveryStep || count[t] > 0;
+    };
+    std::vector<std::uint32_t> slot(steps);  // next free slot of step t
+    std::size_t n = initial_reset ? 1 : 0;
+    for (std::size_t t = 0; t < steps; ++t) {
+      slot[t] = static_cast<std::uint32_t>(n);
+      n += count[t] + (fires(t) ? 1 : 0);
+    }
+    EventStream out(geom_);
+    out.events_.resize(n);
+    if (initial_reset) out.events_[0] = Event::reset(0);
+    for (const Event& e : events_)
+      if (e.op == Op::kUpdate) out.events_[slot[e.t]++] = e;
+    for (std::size_t t = 0; t < steps; ++t)  // slot[t] follows its UPDATEs
+      if (fires(t))
+        out.events_[slot[t]] = Event::fire(static_cast<std::uint16_t>(t));
     return out;
   }
 

@@ -79,6 +79,22 @@ constexpr std::int32_t leaked(std::int32_t v, std::int32_t leak,
   return static_cast<std::int32_t>(next);
 }
 
+/// leaked() in select form, for the engine's UPDATE batch loop: the
+/// toward-zero decay as sign(v) * max(|v| - leak * dt, 0), the subtractive
+/// one as a clamp at the state floor. No data-dependent branch; equal to
+/// leaked() for every membrane in the state range (test_neuron checks the
+/// whole 8-bit range against every leak and step count it can see).
+constexpr std::int32_t leaked_select(std::int32_t v, std::int32_t leak,
+                                     std::uint32_t dt, LeakMode mode) {
+  const std::int64_t total = static_cast<std::int64_t>(leak) * dt;
+  const std::int64_t mag = v < 0 ? -static_cast<std::int64_t>(v) : v;
+  const std::int64_t rest = mag > total ? mag - total : 0;
+  const std::int64_t toward = v < 0 ? -rest : rest;
+  const std::int64_t sub = v - total < kStateRange.lo ? kStateRange.lo : v - total;
+  return static_cast<std::int32_t>(mode == LeakMode::kTowardZero ? toward
+                                                                  : sub);
+}
+
 /// One LIF neuron: 8-bit saturating membrane + last-update timestep.
 /// This is the *functional golden model*; the hardware path in sne::core
 /// reproduces exactly these semantics cycle by cycle.
@@ -100,6 +116,16 @@ class LifNeuron {
   void integrate(std::uint32_t t, std::int32_t w, const LifParams& p) {
     catch_up(t, p);
     v_ = sat_add(v_, w, kStateRange);
+  }
+
+  /// integrate() with the leak in select form (leaked_select): the same
+  /// state transition without data-dependent branches, for the engine's
+  /// batched UPDATE sweeps.
+  void integrate_select(std::uint32_t t, std::int32_t w, const LifParams& p) {
+    SNE_EXPECTS(t >= tlu_);
+    v_ = sat_add(leaked_select(v_, p.leak, t - tlu_, p.leak_mode), w,
+                 kStateRange);
+    tlu_ = t;
   }
 
   /// FIRE_OP semantics at timestep `t`: brings leak up to date, then fires

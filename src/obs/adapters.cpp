@@ -292,6 +292,7 @@ void publish_run_profile(MetricsRegistry& reg, const RunProfile& p,
       {"dead_jump", p.dead_jump_cycles},   {"sweep_jump", p.sweep_jump_cycles},
       {"percycle", p.percycle_cycles},     {"burst", p.burst_cycles},
       {"bulk_replay", p.bulk_replay_cycles}, {"steady", p.steady_cycles},
+      {"update_stream", p.update_stream_cycles},
   };
   for (const auto& m : modes)
     set_counter(reg, "sne_profile_mode_cycles_total",

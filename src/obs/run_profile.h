@@ -1,11 +1,12 @@
 // Replay profiling: where do an engine run's cycles actually go?
 //
-// The engine retires cycles through five distinct machines — fast-forward
+// The engine retires cycles through distinct machines — fast-forward
 // jumps over dead spans, jumps spanning a batched TDM sweep, the generic
-// per-cycle tick() fallback, the specialized drain-burst kernel, and the
-// closed-form bulk-span steady state — and ROADMAP item 5's cache-conscious
-// work needs measured evidence of that split before any layout change is
-// justified. RunProfile attributes every retired cycle to exactly one mode
+// per-cycle tick() fallback, the specialized drain-burst kernel, the bulk
+// drain replay and its closed-form steady state, and the UPDATE span that
+// streams broadcast input one beat at a time — and ROADMAP item 5's
+// cache-conscious work needs measured evidence of that split before any
+// layout change is justified. RunProfile attributes every retired cycle to exactly one mode
 // (the mode cycles always sum to the run's total), histograms bulk drain
 // span lengths, tracks warm-vs-cold pass counts at the runner level, and
 // records per-slice busy occupancy.
@@ -40,10 +41,12 @@ struct RunProfile {
   std::uint64_t burst_cycles = 0;       ///< drain-burst specialized kernel
   std::uint64_t bulk_replay_cycles = 0; ///< bulk span, per-replayed-cycle part
   std::uint64_t steady_cycles = 0;      ///< bulk span, closed-form blocks
+  std::uint64_t update_stream_cycles = 0;  ///< UPDATE span, one step per beat
 
   std::uint64_t mode_cycles_total() const {
     return dead_jump_cycles + sweep_jump_cycles + percycle_cycles +
-           burst_cycles + bulk_replay_cycles + steady_cycles;
+           burst_cycles + bulk_replay_cycles + steady_cycles +
+           update_stream_cycles;
   }
 
   // --- bulk drain spans ---------------------------------------------------
@@ -78,6 +81,7 @@ struct RunProfile {
     burst_cycles += o.burst_cycles;
     bulk_replay_cycles += o.bulk_replay_cycles;
     steady_cycles += o.steady_cycles;
+    update_stream_cycles += o.update_stream_cycles;
     drain_spans += o.drain_spans;
     for (std::size_t i = 0; i < kSpanBuckets; ++i)
       span_hist[i] += o.span_hist[i];

@@ -124,6 +124,61 @@ TEST(EventStreamTest, ControlEventsEveryStep) {
   EXPECT_EQ(fires, 10u);
 }
 
+// The former construction: append RST, every UPDATE and the FIREs, then
+// stable-sort into the (t, op) normal form.
+EventStream control_events_by_sort(const EventStream& s, FirePolicy policy,
+                                   bool initial_reset) {
+  EventStream out(s.geometry());
+  if (initial_reset) out.push(Event::reset(0));
+  std::vector<bool> active(s.geometry().timesteps, false);
+  for (const Event& e : s.events())
+    if (e.op == Op::kUpdate) {
+      out.push(e);
+      active[e.t] = true;
+    }
+  for (std::uint16_t t = 0; t < s.geometry().timesteps; ++t)
+    if (policy == FirePolicy::kEveryStep || active[t]) out.push(Event::fire(t));
+  out.normalize();
+  return out;
+}
+
+TEST(EventStreamTest, ControlEventsMatchTheSortBasedConstruction) {
+  // Seeded streams, time-sorted and shuffled, with stray control events in
+  // the input (dropped by both), sparse and dense, plus the empty stream.
+  Rng rng(91);
+  for (int trial = 0; trial < 60; ++trial) {
+    const auto steps = static_cast<std::uint16_t>(rng.uniform_int(1, 12));
+    EventStream s(StreamGeometry{3, 8, 8, steps});
+    const auto n = rng.uniform_int(0, trial % 5 == 0 ? 0 : 80);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const auto t = static_cast<std::uint16_t>(rng.uniform_int(0, steps - 1));
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+          s.push(Event::fire(t));
+          break;
+        case 1:
+          s.push(Event::reset(t));
+          break;
+        default:
+          s.push_update(t, static_cast<std::uint16_t>(rng.uniform_int(0, 2)),
+                        static_cast<std::uint8_t>(rng.uniform_int(0, 7)),
+                        static_cast<std::uint8_t>(rng.uniform_int(0, 7)));
+      }
+    }
+    if (trial % 2 == 1) s.normalize();  // odd trials: time-sorted input
+    for (const FirePolicy policy :
+         {FirePolicy::kActiveStepsOnly, FirePolicy::kEveryStep})
+      for (const bool reset : {true, false}) {
+        const EventStream want = control_events_by_sort(s, policy, reset);
+        const EventStream got = s.with_control_events(policy, reset);
+        EXPECT_TRUE(got == want) << "trial " << trial << ", every step "
+                                 << (policy == FirePolicy::kEveryStep)
+                                 << ", initial reset " << reset;
+        EXPECT_TRUE(got.is_normalized());
+      }
+  }
+}
+
 TEST(EventStreamTest, BeatsRoundTrip) {
   EventStream s(StreamGeometry{2, 8, 8, 4});
   s.push_update(0, 1, 3, 4);

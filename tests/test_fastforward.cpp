@@ -11,6 +11,9 @@
 // count and identical to serial simulation).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "core/engine.h"
 #include "data/synthetic.h"
 #include "ecnn/batch_runner.h"
@@ -646,6 +649,127 @@ TEST(UpdateFastPath, StaleSlicesOutsideTheLiveSet) {
   ASSERT_GT(runs[0][1].layers[2].output_events, 0u);
   for (int mode = 1; mode < 3; ++mode)
     for (int k = 0; k < 2; ++k) expect_equivalent(runs[0][k], runs[mode][k]);
+}
+
+// --- config-space differential ----------------------------------------------
+
+/// One random layer: conv (strided, padded, multi-round when the channels
+/// outnumber the slices), depthwise pooling, or FC (buffer-resident when
+/// its positions fit the filter buffer, weight-streamed otherwise).
+QuantizedLayerSpec random_layer(Rng& rng) {
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return rng.uniform_int(lo, hi);
+  };
+  QuantizedLayerSpec l;
+  switch (pick(0, 3)) {
+    case 0:
+    case 1: {
+      const auto size = static_cast<std::uint16_t>(8 * pick(1, 2));
+      l = conv_layer(static_cast<std::uint16_t>(pick(1, 3)), size,
+                     static_cast<std::uint16_t>(pick(1, 12)),
+                     static_cast<std::int32_t>(pick(0, 12)),
+                     static_cast<std::uint64_t>(pick(1, 1 << 20)));
+      l.stride = static_cast<std::uint16_t>(pick(1, 2));
+      l.pad = static_cast<std::uint16_t>(pick(0, 1));
+      break;
+    }
+    case 2:
+      l = pool_layer(static_cast<std::uint16_t>(pick(1, 8)),
+                     static_cast<std::uint16_t>(8 * pick(1, 2)), 2);
+      break;
+    default:
+      // Output counts the mapper can shape into the event address space.
+      l = pick(0, 1) == 0
+              ? fc_layer(1, 4, std::array<std::uint16_t, 4>{10, 64, 200, 1096}[
+                                   static_cast<std::size_t>(pick(0, 3))],
+                         static_cast<std::uint64_t>(pick(1, 1 << 20)))
+              : fc_layer(static_cast<std::uint16_t>(pick(1, 2)), 16,
+                         std::array<std::uint16_t, 3>{11, 48, 700}[
+                             static_cast<std::size_t>(pick(0, 2))],
+                         static_cast<std::uint64_t>(pick(1, 1 << 20)));
+      l.lif.v_th = static_cast<std::int32_t>(pick(0, 12));
+  }
+  if (l.type != ecnn::LayerSpec::Type::kPool) {
+    l.lif.leak = static_cast<std::int32_t>(pick(0, 2));
+    l.lif.leak_mode = pick(0, 1) == 0 ? neuron::LeakMode::kTowardZero
+                                      : neuron::LeakMode::kSubtractive;
+  }
+  return l;
+}
+
+TEST(ConfigSpaceDifferential, RandomConfigsAgreeOnAllPaths) {
+  // Seeded draws over the knobs the fast paths special-case — slice count,
+  // every FIFO depth (slice input FIFO of 1 included), output DMAs,
+  // single-buffered state, the adaptive sequencer, clock gating off,
+  // randomized memory contention — and over layer shapes and input
+  // activities. Each config's three engines (per-cycle reference,
+  // fast-forward, fast-forward + drain batching) are reused across its
+  // layer draws with reset() in between; every draw must agree bit for bit.
+  Rng rng(20261019);
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return rng.uniform_int(lo, hi);
+  };
+  constexpr int kConfigs = 48;
+  constexpr int kDrawsPerConfig = 4;
+  std::uint64_t draws_with_spikes = 0;
+  for (int ci = 0; ci < kConfigs; ++ci) {
+    SneConfig hw = SneConfig::paper_design_point(
+        static_cast<std::uint32_t>(pick(1, 8)));
+    hw.slice_in_fifo_depth =
+        ci % 4 == 0 ? 1 : static_cast<std::uint32_t>(pick(1, 4));
+    hw.slice_out_fifo_depth = static_cast<std::uint32_t>(pick(1, 4));
+    hw.cluster_fifo_depth = static_cast<std::uint32_t>(pick(1, 4));
+    hw.dma_fifo_depth = pick(0, 1) == 0 ? 16 : static_cast<std::uint32_t>(pick(1, 4));
+    hw.num_output_dmas = static_cast<std::uint32_t>(pick(1, 4));
+    hw.double_buffered_state = pick(0, 2) != 0;
+    hw.adaptive_sequencer = pick(0, 1) == 0;
+    hw.clock_gating = pick(0, 3) != 0;
+    hwsim::MemoryTiming timing;
+    timing.latency_cycles = static_cast<std::uint32_t>(pick(1, 6));
+    if (ci % 2 == 1) {
+      timing.stall_probability = rng.uniform(0.02, 0.3);
+      // Up to longer than a full sweep: a shallow input DMA FIFO then
+      // starves the slices mid-stream.
+      timing.stall_cycles = static_cast<std::uint32_t>(pick(1, 64));
+      timing.rng_streams = pick(0, 1) == 0;
+    }
+    const bool wload = pick(0, 1) == 0;
+    std::vector<std::unique_ptr<SneEngine>> engines;
+    for (int mode = 0; mode < 3; ++mode) {
+      SneConfig m = hw;
+      m.fast_forward = mode > 0;
+      m.drain_batching = mode > 1;
+      engines.push_back(std::make_unique<SneEngine>(m, 1u << 20, timing));
+    }
+    for (int di = 0; di < kDrawsPerConfig; ++di) {
+      QuantizedNetwork net;
+      net.layers.push_back(random_layer(rng));
+      const auto& l = net.layers[0];
+      const double activity = std::array{0.01, 0.04, 0.1, 0.25}[pick(0, 3)];
+      const auto in = data::random_stream(
+          {l.in_ch, static_cast<std::uint8_t>(l.in_w),
+           static_cast<std::uint8_t>(l.in_h),
+           static_cast<std::uint16_t>(pick(2, 8))},
+          activity, static_cast<std::uint64_t>(pick(1, 1 << 20)));
+      NetworkRunStats stats[3];
+      for (int mode = 0; mode < 3; ++mode) {
+        engines[mode]->reset();
+        NetworkRunner runner(*engines[mode], wload);
+        stats[mode] = runner.run(net, in);
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "config " << ci << " draw " << di << ": "
+                   << hw.num_slices << " slices, in-FIFO "
+                   << hw.slice_in_fifo_depth << ", DMA FIFO "
+                   << hw.dma_fifo_depth << ", " << hw.num_output_dmas
+                   << " output DMAs, stall p " << timing.stall_probability
+                   << ", layer type " << static_cast<int>(l.type));
+      expect_equivalent(stats[0], stats[1]);
+      expect_equivalent(stats[0], stats[2]);
+      if (stats[0].total.output_events > 0) ++draws_with_spikes;
+    }
+  }
+  EXPECT_GT(draws_with_spikes, static_cast<std::uint64_t>(kConfigs));
 }
 
 // --- BatchRunner ------------------------------------------------------------

@@ -95,6 +95,40 @@ TEST(Lif, LazyLeakEqualsEagerLeak) {
 /// Property: a LIF neuron with non-negative threshold cannot spike on a
 /// timestep without input — the soundness condition for skipping silent
 /// steps (FirePolicy::kActiveStepsOnly).
+TEST(Lif, SelectFormLeakEqualsBranchyLeakExhaustively) {
+  // The engine's UPDATE batch integrates through leaked_select; the golden
+  // model and the FIRE scans keep leaked(). Every 8-bit membrane, every
+  // leak the parameters allow and every step gap up to 255, both modes.
+  for (const LeakMode mode : {LeakMode::kTowardZero, LeakMode::kSubtractive})
+    for (std::int32_t v = kStateRange.lo; v <= kStateRange.hi; ++v)
+      for (std::int32_t leak = 0; leak <= kStateRange.hi; ++leak)
+        for (std::uint32_t dt = 0; dt <= 255; ++dt)
+          if (leaked_select(v, leak, dt, mode) != leaked(v, leak, dt, mode)) {
+            FAIL() << "v " << v << " leak " << leak << " dt " << dt
+                   << " subtractive " << (mode == LeakMode::kSubtractive);
+          }
+}
+
+TEST(Lif, IntegrateSelectMatchesIntegrate) {
+  Rng rng(5);
+  for (const LeakMode mode : {LeakMode::kTowardZero, LeakMode::kSubtractive}) {
+    LifParams p;
+    p.leak = 3;
+    p.leak_mode = mode;
+    LifNeuron a, b;
+    std::uint32_t t = 0;
+    for (int i = 0; i < 2000; ++i) {
+      t += static_cast<std::uint32_t>(rng.uniform_int(0, 4));
+      const auto w = static_cast<std::int32_t>(rng.uniform_int(-8, 7)) * 9;
+      a.integrate(t, w, p);
+      b.integrate_select(t, w, p);
+      ASSERT_EQ(a.membrane(), b.membrane());
+      ASSERT_EQ(a.last_update(), b.last_update());
+    }
+    EXPECT_THROW(b.integrate_select(t - 1, 1, p), ContractViolation);
+  }
+}
+
 TEST(Lif, NoSpikeWithoutInputWhenThresholdNonNegative) {
   Rng rng(99);
   for (int trial = 0; trial < 200; ++trial) {

@@ -236,6 +236,7 @@ TEST(RunProfile, ModeCyclesSumToTotalAndResultsAreBitwiseIdentical) {
   EXPECT_EQ(got.profile.mode_cycles_total(), got.cycles);
   EXPECT_GT(got.profile.drain_spans, 0u);
   EXPECT_GT(got.profile.steady_cycles + got.profile.bulk_replay_cycles, 0u);
+  EXPECT_GT(got.profile.update_stream_cycles, 0u);
   std::uint64_t hist_total = 0;
   for (const auto b : got.profile.span_hist) hist_total += b;
   EXPECT_EQ(hist_total, got.profile.drain_spans);
@@ -272,6 +273,7 @@ TEST(RunProfile, PerCycleAndBatchedProfilesAgreeOnTotals) {
   EXPECT_EQ(slow.profile.burst_cycles, 0u);
   EXPECT_EQ(slow.profile.steady_cycles, 0u);
   EXPECT_EQ(slow.profile.bulk_replay_cycles, 0u);
+  EXPECT_EQ(slow.profile.update_stream_cycles, 0u);
   // ...while the batched engine moves most drain work into them.
   EXPECT_GT(fast.profile.steady_cycles + fast.profile.burst_cycles +
                 fast.profile.bulk_replay_cycles,
@@ -603,6 +605,9 @@ TEST(Adapters, RunProfilePublishesModeSplitAndSkipsEmptyProfiles) {
   obs::publish_run_profile(reg, stats.profile, {{"run", "t"}});
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("sne_profile_mode_cycles_total{mode=\"steady\",run=\"t\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find(
+                "sne_profile_mode_cycles_total{mode=\"update_stream\",run=\"t\"}"),
             std::string::npos);
   EXPECT_NE(text.find("sne_profile_slice_busy_cycles_total{run=\"t\",slice=\"0\"}"),
             std::string::npos);
