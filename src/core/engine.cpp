@@ -74,7 +74,6 @@ void SneEngine::reset_machine_state() {
   in_dma_.reset();
   for (auto& dma : out_dmas_) dma.reset();
   collector_arb_.reset();
-  mem_.reset_rng();
   routes_ = XbarRoutes::time_multiplexed(cfg_.num_slices);
   rebuild_route_index();
   total_ = hwsim::ActivityCounters{};
@@ -100,13 +99,12 @@ SneEngine::RunResult SneEngine::run(const std::vector<event::Beat>& program,
   // bit for bit (sne::serve pins it).
   collector_arb_.reset();
 
-  // Stream-split stall RNG: key the run's contention stream by the program
-  // *contents* (FNV-1a over the beats). Content keying — not a stage or run
-  // index — is what makes the tier invariant across stage/worker counts:
-  // identical per-layer programs draw identical stall patterns wherever they
-  // execute, and warm runs that skip a WLOAD program skip exactly that
-  // program's private stream. No-op under the legacy whole-engine ordering.
-  if (mem_.timing().rng_streams) {
+  // Contention stalls: key the run's stall stream by the program *contents*
+  // (FNV-1a over the beats). Content keying — not an engine or run index —
+  // makes stalls invariant across engines and worker counts: identical
+  // programs draw identical stall patterns wherever they execute, and warm
+  // runs that skip a WLOAD program skip exactly that program's stream.
+  if (mem_.timing().stall_probability > 0.0) {
     std::uint64_t key = 0xcbf29ce484222325ull;
     for (const event::Beat b : program) {
       key ^= b;

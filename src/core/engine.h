@@ -95,8 +95,9 @@ class SneEngine {
 
   /// Returns the engine to its freshly-constructed state: every slice
   /// deconfigured and wiped, DMA FIFOs cleared, arbitration pointers rewound,
-  /// the memory contention-stall RNG reseeded, routes back to the
-  /// time-multiplexed default and the lifetime counters zeroed. Memory
+  /// routes back to the time-multiplexed default and the lifetime counters
+  /// zeroed. The contention-stall RNG needs no reset: every stalled run
+  /// reseeds it from its program's content (hwsim::MemoryModel). Memory
   /// *contents* are not scrubbed — every run loads its own program image and
   /// dumps only the words it wrote, so stale words are unobservable. After
   /// reset() all subsequent runs are bitwise identical to the same runs on a
@@ -107,7 +108,7 @@ class SneEngine {
   void reset();
 
   /// Machine-state half of reset(): wipes run state (slice dynamics, DMA
-  /// FIFOs, arbitration, the stall RNG, routes, lifetime counters) while
+  /// FIFOs, arbitration, routes, lifetime counters) while
   /// keeping every slice's *programming* — configuration, weight store and
   /// residency tags — resident. Cold runs on a machine-reset engine are
   /// bitwise identical to runs on a new engine (every pass reconfigures its

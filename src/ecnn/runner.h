@@ -122,8 +122,11 @@ class NetworkRunner {
   /// to the cold fresh-engine reference, and the counter/cycle delta equals
   /// the skipped programming's contribution exactly
   /// (cold.counters - warm.counters == cold.programming - warm.programming,
-  /// pinned arithmetically by test_serve — not a tolerance). 0 = cold
-  /// (always reprogram; strict bitwise tier, byte-for-byte PR-4 behavior).
+  /// pinned arithmetically by test_serve — not a tolerance). This holds
+  /// under memory-contention stalls too: each engine run keys its stalls by
+  /// program content, so a skipped WLOAD program takes its stalls with it.
+  /// 0 = cold (always reprogram; strict bitwise tier, byte-for-byte PR-4
+  /// behavior).
   NetworkRunStats run(const QuantizedNetwork& net,
                       const event::EventStream& input,
                       event::FirePolicy policy =
@@ -149,11 +152,6 @@ class NetworkRunner {
   /// `prof` folds in the WLOAD run's replay profile.
   void program_weights(const SlicePass& pass, hwsim::ActivityCounters& agg,
                        std::uint64_t& cycles, obs::RunProfile& prof);
-
-  /// Rejects warm mode in the one configuration whose programming phase is
-  /// entangled with the input run (streamed WLOAD under randomized memory
-  /// stalls: the RNG draw order is a whole-engine sequence).
-  void check_warm_preconditions(std::uint64_t model_fp) const;
 
   /// Warm-path plan cache: mapper plans are pure functions of
   /// (layer, timesteps) and the model fingerprint identifies the layer

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/contracts.h"
+#include "serve/latency.h"
 
 namespace sne::serve {
 
@@ -208,11 +209,9 @@ class TenantCore {
   std::uint64_t sessions_open_ = 0;
   std::uint64_t chunks_completed_ = 0;
   std::uint64_t chunks_failed_ = 0;
-  // Bounded latency reservoir (mirrors the server's global one).
-  static constexpr std::size_t kReservoir = 1024;
-  std::vector<double> latencies_ms_;
-  std::uint64_t latency_seen_ = 0;
-  std::uint64_t latency_rng_ = 0;  ///< splitmix64 state (one draw per update)
+  // Bounded latency sample, seeded from the tenant name so sampling is a
+  // pure function of (tenant, completion order).
+  LatencyReservoir latency_;
   // Breaker.
   BreakerState breaker_ = BreakerState::kClosed;
   unsigned consecutive_failures_ = 0;

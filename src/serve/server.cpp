@@ -11,16 +11,6 @@ namespace {
 
 using detail::ms_since;
 
-/// Nearest-rank percentile of an ascending-sorted sample.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t n = sorted.size();
-  std::size_t rank = static_cast<std::size_t>(q * static_cast<double>(n) + 0.5);
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
-}
-
 /// The default tenant inherits the pre-tenant server's single-FIFO quota.
 TenantConfig default_tenant_cfg(const ServeOptions& opts) {
   TenantConfig cfg;
@@ -45,16 +35,6 @@ InferenceServer::InferenceServer(const ModelRegistry& registry,
       started_at_(std::chrono::steady_clock::now()) {
   hw_.validate();
   if (opts_.engines == 0) throw ConfigError("server needs at least one engine");
-  // Fail fast on the combination every warm run would reject anyway
-  // (NetworkRunner::check_warm_preconditions): constructing a server whose
-  // requests all fail at runtime helps nobody.
-  if (opts_.warm_weights && opts_.use_wload_stream &&
-      opts_.mem_timing.stall_probability > 0.0 && !opts_.mem_timing.rng_streams)
-    throw ConfigError(
-        "warm serving with streamed WLOAD programming requires deterministic "
-        "memory timing (stall_probability == 0) under the whole-engine RNG "
-        "ordering; set warm_weights=false to serve this configuration cold, "
-        "or mem_timing.rng_streams for the stream-split tier");
   workers_.reserve(opts_.engines);
   for (unsigned i = 0; i < opts_.engines; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -220,6 +200,19 @@ void InferenceServer::fail_displaced(std::vector<Request> displaced,
 Ticket InferenceServer::submit(const std::string& model,
                                event::EventStream input,
                                RequestOptions ropts) {
+  return *admit(model, std::move(input), ropts, /*block=*/true);
+}
+
+std::optional<Ticket> InferenceServer::try_submit(const std::string& model,
+                                                  event::EventStream input,
+                                                  RequestOptions ropts) {
+  return admit(model, std::move(input), ropts, /*block=*/false);
+}
+
+std::optional<Ticket> InferenceServer::admit(const std::string& model,
+                                             event::EventStream input,
+                                             const RequestOptions& ropts,
+                                             bool block) {
   Request req = make_request(model, std::move(input), ropts);
   const Ticket ticket{req.ticket};
   obs::ScopedCorr corr(req.ticket->id);
@@ -241,28 +234,32 @@ Ticket InferenceServer::submit(const std::string& model,
   const auto deadline = req.deadline;
   const auto submitted_at = req.submitted_at;
   const auto ticket_state = req.ticket;
-  auto out =
-      sched_.push(tenant, std::move(req), priority, deadline, /*block=*/true);
+  auto out = sched_.push(tenant, std::move(req), priority, deadline, block);
   fail_displaced(std::move(out.displaced),
                  "shed under overload: displaced by a newer request");
-  const auto rollback = [this] {
+  // Un-counts a request that never entered a queue, booking the counter of
+  // its refusal (if any) in the same step.
+  const auto rollback = [this](std::uint64_t* refusal) {
     {
       std::lock_guard<std::mutex> lk(stats_m_);
       --submitted_;
+      if (refusal) ++*refusal;
     }
     drained_cv_.notify_all();
   };
   switch (out.status) {
     case FairScheduler<Request>::PushStatus::kAccepted:
       return ticket;
-    case FairScheduler<Request>::PushStatus::kFull: {
+    case FairScheduler<Request>::PushStatus::kFull:
+      if (!block) {
+        // Genuine overload: the tenant's quota is exhausted with nothing
+        // sheddable (the scheduler booked the tenant-side rejection).
+        rollback(&rejected_);
+        return std::nullopt;
+      }
       // The blocking wait for queue space timed out on the request's own
       // deadline: shed, exactly like an admission-time expiry.
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++shed_;
-      }
+      rollback(&shed_);
       sched_.note_shed(tenant);
       ticket_state->fail(
           std::make_exception_ptr(DeadlineExceeded(
@@ -270,92 +267,21 @@ Ticket InferenceServer::submit(const std::string& model,
               "'" + tenant + "' queue")),
           ms_since(submitted_at));
       return ticket;
-    }
-    case FairScheduler<Request>::PushStatus::kRejectFast: {
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++breaker_rejected_;
-      }
+    case FairScheduler<Request>::PushStatus::kRejectFast:
+      rollback(&breaker_rejected_);
       ticket_state->fail(
           std::make_exception_ptr(TenantOverload(
               "circuit open for tenant '" + tenant +
               "': rejecting fast until a probe succeeds")),
           ms_since(submitted_at));
       return ticket;
-    }
     case FairScheduler<Request>::PushStatus::kClosed:
-      rollback();
+      rollback(nullptr);
+      // A closed scheduler is a caller error on both entry points, so
+      // try_submit retry loops don't spin against a dead server.
       throw ConfigError("submit on a shut-down server");
     case FairScheduler<Request>::PushStatus::kUnknownTenant:
-      rollback();
-      throw ConfigError("tenant '" + tenant + "' was evicted");
-  }
-  return ticket;  // unreachable
-}
-
-std::optional<Ticket> InferenceServer::try_submit(const std::string& model,
-                                                  event::EventStream input,
-                                                  RequestOptions ropts) {
-  Request req = make_request(model, std::move(input), ropts);
-  const Ticket ticket{req.ticket};
-  obs::ScopedCorr corr(req.ticket->id);
-  obs::ScopedSpan span("serve.submit", obs::trace_key(ropts.tenant));
-  faults::check("serve.server.admit");
-  if (shed_if_expired(req)) return ticket;
-  {
-    std::lock_guard<std::mutex> lk(stats_m_);
-    ++submitted_;
-  }
-  const std::string tenant = req.tenant;
-  const int priority = req.priority;
-  const auto deadline = req.deadline;
-  const auto submitted_at = req.submitted_at;
-  const auto ticket_state = req.ticket;
-  auto out =
-      sched_.push(tenant, std::move(req), priority, deadline, /*block=*/false);
-  fail_displaced(std::move(out.displaced),
-                 "shed under overload: displaced by a newer request");
-  const auto rollback = [this] {
-    {
-      std::lock_guard<std::mutex> lk(stats_m_);
-      --submitted_;
-    }
-    drained_cv_.notify_all();
-  };
-  switch (out.status) {
-    case FairScheduler<Request>::PushStatus::kAccepted:
-      return ticket;
-    case FairScheduler<Request>::PushStatus::kFull: {
-      // Genuine overload: the tenant's quota is exhausted with nothing
-      // sheddable (the scheduler booked the tenant-side rejection).
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++rejected_;
-      }
-      return std::nullopt;
-    }
-    case FairScheduler<Request>::PushStatus::kRejectFast: {
-      rollback();
-      {
-        std::lock_guard<std::mutex> lk(stats_m_);
-        ++breaker_rejected_;
-      }
-      ticket_state->fail(
-          std::make_exception_ptr(TenantOverload(
-              "circuit open for tenant '" + tenant +
-              "': rejecting fast until a probe succeeds")),
-          ms_since(submitted_at));
-      return ticket;
-    }
-    case FairScheduler<Request>::PushStatus::kClosed:
-      rollback();
-      // A closed scheduler is a caller error, reported like submit() so
-      // retry loops don't spin against a dead server.
-      throw ConfigError("submit on a shut-down server");
-    case FairScheduler<Request>::PushStatus::kUnknownTenant:
-      rollback();
+      rollback(nullptr);
       throw ConfigError("tenant '" + tenant + "' was evicted");
   }
   return std::nullopt;  // unreachable
@@ -447,16 +373,7 @@ void InferenceServer::process(Request& req, const std::string& tenant,
       passes_warm_ += result.passes_warm;
       passes_total_ += result.passes_total;
     }
-    // Bounded reservoir: exact until kLatencyReservoir completions, a
-    // uniform sample of the full history after.
-    ++latency_seen_;
-    if (latencies_ms_.size() < kLatencyReservoir) {
-      latencies_ms_.push_back(lat_ms);
-    } else {
-      const auto j = static_cast<std::uint64_t>(latency_rng_.uniform_int(
-          0, static_cast<std::int64_t>(latency_seen_) - 1));
-      if (j < kLatencyReservoir) latencies_ms_[j] = lat_ms;
-    }
+    latency_.add(lat_ms);
   }
   // Settle the tenant's ledger (and its breaker) before answering the
   // ticket, so a waiter observes its own completion in stats(). Queue
@@ -490,7 +407,7 @@ void InferenceServer::drain() {
 
 ServerStats InferenceServer::stats() const {
   ServerStats s;
-  std::vector<double> lat;
+  detail::LatencyReservoir latency{0, 0};  // copied under the lock, sorted off it
   {
     std::lock_guard<std::mutex> lk(stats_m_);
     s.submitted = submitted_;
@@ -505,7 +422,7 @@ ServerStats InferenceServer::stats() const {
     s.total_sim_cycles = total_sim_cycles_;
     s.passes_warm = passes_warm_;
     s.passes_total = passes_total_;
-    lat = latencies_ms_;
+    latency = latency_;
   }
   s.queue_depth = sched_.depth();
   s.peak_queue_depth = sched_.peak_depth();
@@ -515,15 +432,11 @@ ServerStats InferenceServer::stats() const {
                     .count();
   if (s.elapsed_s > 0.0)
     s.throughput_rps = static_cast<double>(s.completed) / s.elapsed_s;
-  if (!lat.empty()) {
-    std::sort(lat.begin(), lat.end());
-    double sum = 0.0;
-    for (const double v : lat) sum += v;
-    s.latency_ms_mean = sum / static_cast<double>(lat.size());
-    s.latency_ms_p50 = percentile(lat, 0.50);
-    s.latency_ms_p90 = percentile(lat, 0.90);
-    s.latency_ms_p99 = percentile(lat, 0.99);
-  }
+  const detail::LatencySummary lat = latency.summary();
+  s.latency_ms_mean = lat.mean;
+  s.latency_ms_p50 = lat.p50;
+  s.latency_ms_p90 = lat.p90;
+  s.latency_ms_p99 = lat.p99;
   const ecnn::EnginePool::Stats ps = pool_.stats();
   s.engines_constructed = ps.constructed;
   s.engine_leases = ps.leases;

@@ -53,7 +53,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/config.h"
 #include "ecnn/runner.h"
 #include "event/event_stream.h"
@@ -268,6 +267,13 @@ class InferenceServer {
 
   Request make_request(const std::string& model, event::EventStream input,
                        const RequestOptions& ropts);
+  /// The one admission routine behind submit() (`block`: wait for queue
+  /// space up to the request's deadline, then shed) and try_submit() (a
+  /// full queue answers nullopt). Only the non-blocking form returns
+  /// nullopt.
+  std::optional<Ticket> admit(const std::string& model,
+                              event::EventStream input,
+                              const RequestOptions& ropts, bool block);
   /// Sheds `req` at admission when its deadline has already passed: fails
   /// the ticket with DeadlineExceeded and counts `shed` (globally and on
   /// the tenant). Returns whether it shed (the caller then skips the queue
@@ -306,12 +312,7 @@ class InferenceServer {
   std::uint64_t total_sim_cycles_ = 0;
   std::uint64_t passes_warm_ = 0;
   std::uint64_t passes_total_ = 0;
-  /// Bounded latency reservoir (classic reservoir sampling over all
-  /// completions; kLatencyReservoir entries max).
-  static constexpr std::size_t kLatencyReservoir = 4096;
-  std::vector<double> latencies_ms_;
-  std::uint64_t latency_seen_ = 0;
-  Rng latency_rng_{0x5EEDF00Dull};
+  detail::LatencyReservoir latency_{4096, 0x5EEDF00Dull};
 };
 
 }  // namespace sne::serve

@@ -28,16 +28,6 @@ StreamingSession::StreamingSession(ecnn::EnginePool& pool,
     throw ConfigError("session horizon_timesteps must be <= " +
                       std::to_string(event::kMaxTime + 1) +
                       ": the session clock is an 8-bit event timestamp");
-  // Respawn determinism: whole-engine stall RNG draws depend on everything
-  // the engine ran before, which a replacement engine cannot replay
-  // mid-session. Content-keyed streams (rng_streams) reseed per program and
-  // are respawn-invariant.
-  const hwsim::MemoryTiming& mt = pool_.options().mem_timing;
-  if (mt.stall_probability > 0.0 && !mt.rng_streams)
-    throw ConfigError(
-        "streaming sessions need deterministic memory timing: "
-        "stall_probability > 0 requires mem_timing.rng_streams (the "
-        "stream-split tier) so a respawned engine replays identical stalls");
   // First spawn happens on the caller: pipeline-mode config errors (multi-
   // pass layers, too many layers for the slice count) surface at open, not
   // on the first chunk.

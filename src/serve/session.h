@@ -16,7 +16,9 @@
 //   - Chunked replay tier (strict): a session's per-chunk results are
 //     bitwise identical — outputs, counters, cycles — to the same chunk
 //     sequence fed through any other session of the same design point,
-//     regardless of pool state, tenant load, or intervening crashes.
+//     regardless of pool state, tenant load, or intervening crashes —
+//     memory-contention stalls included, since they are keyed by program
+//     content and a respawned engine replays them.
 //   - Continuity tier (functional): the union of the chunk output events
 //     equals the one-shot pipeline run of the concatenated input, event for
 //     event (set equality under the deterministic total order; cycle *counts*
@@ -116,10 +118,8 @@ class StreamingSession {
 
   /// Leases an engine from `pool`, programs the model as a pipeline and
   /// starts the chunk worker. Throws ConfigError when the model cannot run
-  /// in pipeline mode (multi-pass layers) or the pool's memory timing draws
-  /// nondeterministic whole-engine stalls (a respawn could not reproduce
-  /// them; mem_timing.rng_streams restores determinism via content-keyed
-  /// streams).
+  /// in pipeline mode (multi-pass layers). Memory-contention stalls are keyed
+  /// by program content, so a respawned engine replays identical stalls.
   StreamingSession(ecnn::EnginePool& pool, ModelRegistry::ModelPtr model,
                    SessionOptions opts, Hooks hooks = {});
   ~StreamingSession();

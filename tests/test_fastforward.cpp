@@ -731,7 +731,7 @@ TEST(ConfigSpaceDifferential, RandomConfigsAgreeOnAllPaths) {
       // Up to longer than a full sweep: a shallow input DMA FIFO then
       // starves the slices mid-stream.
       timing.stall_cycles = static_cast<std::uint32_t>(pick(1, 64));
-      timing.rng_streams = pick(0, 1) == 0;
+      (void)pick(0, 1);  // keeps the seeded draw sequence of later configs
     }
     const bool wload = pick(0, 1) == 0;
     std::vector<std::unique_ptr<SneEngine>> engines;

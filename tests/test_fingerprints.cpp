@@ -11,7 +11,9 @@
 // each on the fast-forward and the fast-forward + drain-batching paths, plus
 // one pipe-routed config on all three paths. The per-cycle reference runs
 // only where it is affordable (8 slices, one output DMA); the three paths'
-// mutual equivalence elsewhere is test_fastforward's job.
+// mutual equivalence elsewhere is test_fastforward's job. A stall tier pins
+// the content-keyed memory-contention streams on the 8-slice 1.2% config:
+// cold host-load, cold WLOAD-streamed and warm WLOAD runs.
 //
 // The RunProfile mode split is deliberately not hashed: it records which
 // engine machine retired each cycle, and kernels move cycles between modes
@@ -131,6 +133,54 @@ TEST(EngineFingerprints, GestureNetworkPerCycleReference) {
   for (std::size_t a = 0; a < kActivity.size(); ++a)
     EXPECT_EQ(hex(run_gesture(8, 1, false, false, a)), hex(kGolden[a][3][0]))
         << "activity " << kActivity[a];
+}
+
+// The stall tier at kActivity[0], 8 slices, one output DMA: a cold host-load
+// run, a cold WLOAD-streamed run and a warm WLOAD run (resident programming
+// skipped after reset_machine_state), in that order.
+constexpr std::uint64_t kGoldenStall[3] = {
+    0xfd29071a58041758ull, 0x93f102d6e648dd08ull, 0x52e3b7b5d16b2db2ull};
+
+// Cold host-load, cold WLOAD-streamed and warm WLOAD runs of the 8-slice
+// gesture network under `timing`.
+std::array<ecnn::NetworkRunStats, 3> stall_tier_runs(
+    bool drain, const hwsim::MemoryTiming& timing) {
+  SneConfig hw = SneConfig::paper_design_point(8);
+  hw.drain_batching = drain;
+  const event::EventStream& in = gesture_input(0);
+  const std::uint64_t fp = ecnn::model_fingerprint(gesture_net());
+  std::array<ecnn::NetworkRunStats, 3> r;
+  SneEngine host(hw, 1u << 20, timing);
+  r[0] = ecnn::NetworkRunner(host, /*use_wload_stream=*/false)
+             .run(gesture_net(), in);
+  SneEngine wload(hw, 1u << 20, timing);
+  ecnn::NetworkRunner runner(wload, /*use_wload_stream=*/true);
+  r[1] = runner.run(gesture_net(), in, event::FirePolicy::kActiveStepsOnly, fp);
+  wload.reset_machine_state();
+  r[2] = runner.run(gesture_net(), in, event::FirePolicy::kActiveStepsOnly, fp);
+  return r;
+}
+
+TEST(EngineFingerprints, GestureNetworkUnderMemoryStalls) {
+  // Stalls long enough that the input DMA FIFO cannot hide them (at 64
+  // cycles this sparse input still absorbs every one), so every run's
+  // cycles move.
+  hwsim::MemoryTiming stalled;
+  stalled.stall_probability = 0.1;
+  stalled.stall_cycles = 256;
+  const char* const kRun[3] = {"cold host-load", "cold WLOAD", "warm WLOAD"};
+  for (const bool drain : {false, true}) {
+    const auto got = stall_tier_runs(drain, stalled);
+    const auto quiet = stall_tier_runs(drain, {});
+    EXPECT_GT(got[1].programming.weight_load_beats, 0u);
+    EXPECT_EQ(got[1].passes_warm, 0u);
+    EXPECT_GT(got[2].passes_warm, 0u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_GT(got[i].cycles, quiet[i].cycles) << kRun[i];
+      EXPECT_EQ(hex(fingerprint(got[i])), hex(kGoldenStall[i]))
+          << kRun[i] << ", drain " << drain;
+    }
+  }
 }
 
 ecnn::QuantizedLayerSpec pipe_conv(std::uint16_t in_ch, std::uint16_t out_ch,

@@ -1,25 +1,21 @@
-// Stream-split stall-RNG tier regression suite.
+// Content-keyed memory-contention stall regression suite.
 //
-// hwsim::MemoryTiming::rng_streams replaces the legacy whole-engine
-// contention-RNG ordering with per-run streams keyed on the program *content*
-// (FNV-1a over the beats): every engine.run() draws from a stream that
-// depends only on (engine seed, program bytes), never on what ran before or
-// where the run executes. That buys its own determinism tier:
+// Every engine.run() reseeds the contention-stall RNG from the engine seed
+// and an FNV-1a key over the program it streams (hwsim::MemoryModel::
+// begin_stream), so a run's stalls depend only on (engine seed, program
+// bytes), never on what ran before or where the run executes:
 //
 //   * results are invariant across batch worker counts and across the pooled
 //     engine a served request leases, and equal to the serial fresh-engine
-//     reference — which engine ran a sample, and what it ran before, stop
-//     being observable;
+//     reference — which engine ran a sample, and what it ran before, stay
+//     unobservable;
 //   * the serving front-ends (BatchRunner, warm NetworkRunner,
-//     InferenceServer) accept stall_probability > 0 instead of rejecting it
-//     at construction;
+//     InferenceServer) serve stall_probability > 0 in every mode;
 //   * warm runs keep the relaxed-tier arithmetic identity exactly, because
-//     the skipped WLOAD programs drew from private streams the sample
-//     programs never observe.
+//     the skipped WLOAD programs drew from their own streams, which the
+//     sample programs never observe.
 //
-// The draws themselves differ from the whole-engine tier (different but
-// equally valid stall sequences) — which is why rng_streams defaults to
-// false and the legacy rejections stay pinned (test_serve.cpp).
+// test_fingerprints pins the stall bits themselves on the gesture network.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -104,7 +100,7 @@ QuantizedNetwork three_layer_net() {
   return net;
 }
 
-/// Randomized contention timing in stream-split mode. Stalls are long and
+/// Randomized contention timing. Stalls are long and
 /// frequent enough that the input DMA FIFO cannot absorb them all — they
 /// show up in cycle counts, so the invariance tests are not vacuous.
 hwsim::MemoryTiming stream_split_timing() {
@@ -112,7 +108,6 @@ hwsim::MemoryTiming stream_split_timing() {
   t.latency_cycles = 6;
   t.stall_probability = 0.25;
   t.stall_cycles = 31;
-  t.rng_streams = true;
   return t;
 }
 
@@ -138,7 +133,7 @@ hwsim::ActivityCounters sum(hwsim::ActivityCounters a,
 
 TEST(RngStreamsTest, BatchWorkerCountInvariance) {
   // Same promise for the dataset runner: worker count and engine assignment
-  // are unobservable under stream-split stall RNG.
+  // are unobservable under content-keyed stalls.
   const QuantizedNetwork net = three_layer_net();
   std::vector<event::EventStream> inputs;
   for (std::uint64_t s = 0; s < 4; ++s)
@@ -163,8 +158,8 @@ TEST(RngStreamsTest, BatchWorkerCountInvariance) {
 
 TEST(RngStreamsTest, FastForwardAndDrainBatchingStayExact) {
   // The compressed paths must consume each run's stream exactly like the
-  // per-cycle reference: three-way bitwise equality under stream-split
-  // stalls (the rng_streams analogue of FastForwardEquivalence's
+  // per-cycle reference: three-way bitwise equality under content-keyed
+  // stalls (the pooled-engine analogue of FastForwardEquivalence's
   // RandomMemoryStalls and the DrainEquivalence suite).
   QuantizedLayerSpec l = conv_layer(1, 16, 8, 0, 71);
   for (auto& w : l.weights)
@@ -189,9 +184,8 @@ TEST(RngStreamsTest, FastForwardAndDrainBatchingStayExact) {
 }
 
 TEST(RngStreamsTest, WarmWloadRelaxedTierUnderStreamSplit) {
-  // The combination the legacy tier forbids outright: WLOAD-streamed
-  // programming, randomized stalls, warm reuse. Content-keyed streams make
-  // it sound — the WLOAD programs a warm run skips drew from streams the
+  // WLOAD-streamed programming, randomized stalls, warm reuse.
+  // Content-keyed streams make the combination sound — the WLOAD programs a warm run skips drew from streams the
   // sample program never touches, so the relaxed-tier arithmetic identity
   // (cold == warm + programming, exactly, no tolerances) still holds.
   QuantizedNetwork net;
@@ -232,8 +226,7 @@ TEST(RngStreamsTest, WarmWloadRelaxedTierUnderStreamSplit) {
 
 TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   // Construction-time acceptance across the stack, plus a served request
-  // matching the serial reference; the legacy whole-engine rejections stay
-  // pinned by test_serve.cpp.
+  // matching the serial reference.
   const QuantizedNetwork net = three_layer_net();
   const SneConfig hw = SneConfig::paper_design_point(2);
   const auto in = data::random_stream({1, 16, 16, 10}, 0.08, 680);
@@ -260,17 +253,13 @@ TEST(RngStreamsTest, ServingFrontEndsAcceptStreamSplitStalls) {
   serve::InferenceServer server(registry, hw, so);
   expect_equivalent(ref, server.submit("m", in).wait());
 
-  // The combination the server fails fast on — warm weight-resident leases
-  // with WLOAD-streamed programming under stalls — is accepted once
-  // rng_streams is set, and still rejected under the legacy whole-engine
-  // ordering.
+  // Warm weight-resident leases with WLOAD-streamed programming serve under
+  // stalls too.
   serve::ServeOptions warm = so;
   warm.warm_weights = true;
   warm.use_wload_stream = true;
   serve::InferenceServer warm_server(registry, hw, warm);
   EXPECT_GT(warm_server.submit("m", in).wait().cycles, 0u);
-  warm.mem_timing.rng_streams = false;
-  EXPECT_THROW(serve::InferenceServer(registry, hw, warm), ConfigError);
 }
 
 }  // namespace

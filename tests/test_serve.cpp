@@ -10,7 +10,7 @@
 //
 // Also covered: model checkpoints (exact round-trip, corruption rejection),
 // the model registry, and engine reset (a reset engine is indistinguishable
-// from a new one, including the memory contention-stall RNG).
+// from a new one, memory contention stalls included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -425,7 +425,7 @@ TEST(BatchRunnerTest, PooledRunMatchesFreshUnderStallRng) {
   ecnn::BatchOptions bo;
   bo.memory_words = 1u << 20;
   bo.workers = 2;
-  bo.mem_timing.stall_probability = 0.2;  // reset must rewind the stall RNG
+  bo.mem_timing.stall_probability = 0.2;  // stalls must replay on reuse
   ecnn::BatchRunner runner(SneConfig::paper_design_point(2), net, bo);
   const auto pooled = runner.run(inputs);
   ASSERT_EQ(pooled.size(), inputs.size());
@@ -590,7 +590,7 @@ TEST(WarmRunTest, WarmRunsObeyRelaxedTier) {
 TEST(WarmRunTest, MachineResetColdRunsStayBitwiseFresh) {
   // Negative control for the reset split: a machine reset alone (programming
   // kept resident but no warm fingerprint passed) never changes a cold run's
-  // bits — stale-configured slices are inert and the stall RNG rewinds.
+  // bits — stale-configured slices are inert and stalls are content-keyed.
   const QuantizedNetwork other = three_layer_net();
   QuantizedNetwork net;
   net.layers.push_back(conv_layer(1, 16, 4, 3, 77));
@@ -633,46 +633,6 @@ TEST(WarmRunTest, ResidencyNeverCrossesModels) {
       runner.run(b, in, event::FirePolicy::kActiveStepsOnly, fb);
   EXPECT_EQ(got_b.passes_warm, 0u);
   expect_equivalent(ref_b, got_b);  // fully cold => strict tier
-}
-
-TEST(WarmRunTest, RejectsWloadStreamUnderStallRng) {
-  QuantizedNetwork net;
-  net.layers.push_back(conv_layer(1, 16, 4, 4, 41));
-  hwsim::MemoryTiming timing;
-  timing.stall_probability = 0.1;
-  SneEngine engine(SneConfig::paper_design_point(2), 1u << 20, timing);
-  NetworkRunner runner(engine, /*use_wload_stream=*/true);
-  const auto in = data::random_stream({1, 16, 16, 6}, 0.05, 5);
-  const std::uint64_t fp = ecnn::model_fingerprint(net);
-  EXPECT_THROW(runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp),
-               ConfigError);
-  // Cold runs on the same configuration remain allowed.
-  EXPECT_GT(runner.run(net, in).cycles, 0u);
-  // So do warm runs with host-side loading (no programming RNG draws).
-  NetworkRunner host_runner(engine, /*use_wload_stream=*/false);
-  EXPECT_GT(
-      host_runner.run(net, in, event::FirePolicy::kActiveStepsOnly, fp).cycles,
-      0u);
-
-  // The serving front-ends reject the combination at construction — not one
-  // failed ticket per request.
-  serve::ModelRegistry registry;
-  registry.put("m", net);
-  serve::ServeOptions so;
-  so.use_wload_stream = true;
-  so.mem_timing.stall_probability = 0.1;
-  EXPECT_THROW(
-      serve::InferenceServer(registry, SneConfig::paper_design_point(2), so),
-      ConfigError);
-  so.warm_weights = false;  // cold serving of the same config stays legal
-  EXPECT_NO_THROW(
-      serve::InferenceServer(registry, SneConfig::paper_design_point(2), so));
-  ecnn::BatchOptions bo;
-  bo.use_wload_stream = true;
-  bo.mem_timing.stall_probability = 0.1;
-  bo.weight_resident = true;
-  EXPECT_THROW(ecnn::BatchRunner(SneConfig::paper_design_point(2), net, bo),
-               ConfigError);
 }
 
 TEST(ServerTest, WarmServingObeysRelaxedTierAndSkipsReprogramming) {

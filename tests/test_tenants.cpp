@@ -771,55 +771,70 @@ TEST(SessionTest, RespawnLosesOnlyTheInflightChunk) {
   auto chunks = split_chunks(full, 4);
   ASSERT_EQ(chunks.size(), 3u);
 
-  // Reference session: fed chunks 0 and 2 only (chunk 1 never happened).
-  std::vector<NetworkRunStats> ref;
-  {
-    ecnn::EnginePool pool(hw, 0, session_pool_opts());
+  // Once without and once with memory-contention stalls: the respawned
+  // engine must replay the stalls of every chunk it runs, which holds
+  // because each run keys its stalls by program content.
+  std::uint64_t quiet_cycles = 0;
+  for (const double stall_p : {0.0, 0.25}) {
+    SCOPED_TRACE(::testing::Message() << "stall p " << stall_p);
+    ecnn::EnginePoolOptions po = session_pool_opts();
+    po.mem_timing.stall_probability = stall_p;
+    po.mem_timing.stall_cycles = 64;
     serve::SessionOptions sopts;
     sopts.horizon_timesteps = 12;
-    serve::StreamingSession s(pool, model, sopts);
-    ref.push_back(s.feed(chunks[0]).wait());
-    ref.push_back(s.feed(chunks[2]).wait());
-  }
 
-  // Victim session: chunk 1's dispatch is killed by an injected fault. The
-  // session quarantines its engine, respawns, restores the snapshot — and
-  // chunks 0/2 come out bitwise identical to the undisturbed reference.
-  ecnn::EnginePool pool(hw, 0, session_pool_opts());
-  serve::SessionOptions sopts;
-  sopts.horizon_timesteps = 12;
-  serve::StreamingSession s(pool, model, sopts);
-
-  const NetworkRunStats r0 = s.feed(chunks[0]).wait();
-  {
-    faults::FaultConfig fc;
-    fc.seed = 9;
-    fc.rules.push_back({"serve.session.chunk", {1}, 0.0, 0.0});
-    faults::ScopedFaults chaos(fc);
-    try {
-      (void)s.feed(chunks[1]).wait();
-      FAIL() << "chunk 1 should have failed";
-    } catch (const serve::ChunkError& e) {
-      // Diagnosable: names the failed timestep range and the rollback point.
-      EXPECT_NE(std::string(e.what()).find("[4, 8)"), std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find("rolled back to timestep 4"),
-                std::string::npos)
-          << e.what();
+    // Reference session: fed chunks 0 and 2 only (chunk 1 never happened).
+    std::vector<NetworkRunStats> ref;
+    {
+      ecnn::EnginePool pool(hw, 0, po);
+      serve::StreamingSession s(pool, model, sopts);
+      ref.push_back(s.feed(chunks[0]).wait());
+      ref.push_back(s.feed(chunks[2]).wait());
     }
-  }
-  const NetworkRunStats r2 = s.feed(chunks[2]).wait();
-  expect_equivalent(ref[0], r0);
-  expect_equivalent(ref[1], r2);
 
-  s.close();
-  const serve::SessionStats st = s.stats();
-  EXPECT_EQ(st.chunks_completed, 2u);
-  EXPECT_EQ(st.chunks_failed, 1u);
-  EXPECT_EQ(st.respawns, 1u);
-  EXPECT_EQ(st.timesteps_consumed, 8u);
-  const ecnn::EnginePool::Stats ps = pool.stats();
-  EXPECT_EQ(ps.quarantined, 1u);  // the poisoned engine was discarded
+    // Victim session: chunk 1's dispatch is killed by an injected fault. The
+    // session quarantines its engine, respawns, restores the snapshot — and
+    // chunks 0/2 come out bitwise identical to the undisturbed reference.
+    ecnn::EnginePool pool(hw, 0, po);
+    serve::StreamingSession s(pool, model, sopts);
+
+    const NetworkRunStats r0 = s.feed(chunks[0]).wait();
+    {
+      faults::FaultConfig fc;
+      fc.seed = 9;
+      fc.rules.push_back({"serve.session.chunk", {1}, 0.0, 0.0});
+      faults::ScopedFaults chaos(fc);
+      try {
+        (void)s.feed(chunks[1]).wait();
+        FAIL() << "chunk 1 should have failed";
+      } catch (const serve::ChunkError& e) {
+        // Diagnosable: names the failed timestep range and the rollback
+        // point.
+        EXPECT_NE(std::string(e.what()).find("[4, 8)"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("rolled back to timestep 4"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    const NetworkRunStats r2 = s.feed(chunks[2]).wait();
+    expect_equivalent(ref[0], r0);
+    expect_equivalent(ref[1], r2);
+    // Stalls happened: the stalled chunks take strictly more cycles.
+    if (stall_p == 0.0)
+      quiet_cycles = r2.cycles;
+    else
+      EXPECT_GT(r2.cycles, quiet_cycles);
+
+    s.close();
+    const serve::SessionStats st = s.stats();
+    EXPECT_EQ(st.chunks_completed, 2u);
+    EXPECT_EQ(st.chunks_failed, 1u);
+    EXPECT_EQ(st.respawns, 1u);
+    EXPECT_EQ(st.timesteps_consumed, 8u);
+    const ecnn::EnginePool::Stats ps = pool.stats();
+    EXPECT_EQ(ps.quarantined, 1u);  // the poisoned engine was discarded
+  }
 }
 
 TEST(SessionTest, HeartbeatTimeoutExpiresIdleSessions) {
@@ -889,19 +904,6 @@ TEST(SessionTest, HorizonIsBoundedByTheEventClock) {
   EXPECT_EQ(s.stats().timesteps_consumed, event::kMaxTime + 1);
   EXPECT_THROW(s.feed(data::random_stream({1, 16, 16, 4}, 0.1, 193)).wait(),
                serve::ChunkError);
-}
-
-TEST(SessionTest, RejectsNondeterministicStallRng) {
-  const QuantizedNetwork net = pipeline_net();
-  const SneConfig hw = SneConfig::paper_design_point(2);
-  ecnn::EnginePoolOptions po = session_pool_opts();
-  po.mem_timing.stall_probability = 0.05;
-  po.mem_timing.rng_streams = false;  // whole-engine RNG: not respawnable
-  ecnn::EnginePool pool(hw, 0, po);
-  serve::SessionOptions sopts;
-  EXPECT_THROW(serve::StreamingSession(
-                   pool, std::make_shared<const QuantizedNetwork>(net), sopts),
-               ConfigError);
 }
 
 // --- server-managed sessions -------------------------------------------------
